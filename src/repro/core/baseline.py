@@ -23,10 +23,11 @@ Two local execution modes:
   instances where running thousands of solver-based iterations is
   impractical on this machine.  Timing benchmarks never use it.
 
-The iteration skeleton is :class:`repro.core.loop.ADMMLoop`; this class
-supplies the benchmark's update rules.  The per-component QP solves are
-always fp64 (SciPy); under an fp32 backend only the consensus state is
-reduced precision.
+The iteration skeleton is :class:`repro.core.loop.ADMMLoop` and the
+global/dual updates are the shared ones of :mod:`repro.core.consensus`
+(unclipped); this class supplies the benchmark's local update.  The
+per-component QP solves are always fp64 (SciPy); under an fp32 backend
+only the consensus state is reduced precision.
 """
 
 from __future__ import annotations
@@ -35,29 +36,32 @@ import time
 
 import numpy as np
 
-from repro.backend import refinement_backend, resolve_backend
 from repro.core.config import ADMMConfig
-from repro.core.loop import ADMMLoop, IterationStrategy, LoopOutcome
-from repro.core.results import ADMMResult
+from repro.core.consensus import ConsensusADMM, ScenarioStack
 from repro.decomposition.decomposed import DecomposedOPF
 from repro.qp.interior_point import solve_qp_box_eq
 from repro.qp.projection import project_box_affine
-from repro.telemetry import NULL_TRACER
 
 
-class BenchmarkADMM(IterationStrategy):
-    """Solver-based component ADMM (the paper's comparison baseline)."""
+class BenchmarkADMM(ConsensusADMM):
+    """Solver-based component ADMM (the paper's comparison baseline).
+
+    ``dec`` is the decomposed model, or a
+    :class:`~repro.core.consensus.ScenarioStack` of same-topology scenarios
+    of it whose ``local`` data are each component's reduced ``(A, b)``.
+    """
 
     algorithm_name = "benchmark ADMM (solver-based)"
     # The baseline deliberately runs the plain algorithm: no
     # over-relaxation, no residual balancing.
     use_relaxation = False
     supports_balancing = False
-    refinement_supported = True
+    # Bounds live in the local box-QPs, not in the global step.
+    clip_global = False
 
     def __init__(
         self,
-        dec: DecomposedOPF,
+        dec: DecomposedOPF | ScenarioStack,
         config: ADMMConfig | None = None,
         local_mode: str = "interior_point",
         tracer=None,
@@ -66,145 +70,54 @@ class BenchmarkADMM(IterationStrategy):
     ):
         if local_mode not in ("interior_point", "projection"):
             raise ValueError(f"unknown local_mode {local_mode!r}")
-        self.dec = dec
-        self.config = config or ADMMConfig()
-        self.tracer = tracer if tracer is not None else NULL_TRACER
+        super().__init__(dec, config, tracer, backend, precision)
         self.local_mode = local_mode
-        self.backend = resolve_backend(backend, precision)
-        b = self.backend
-        lp = dec.lp
-        self.n = lp.n_vars
-        self.n_local = dec.n_local
-        self.c = b.asarray(lp.cost)
-        self.gcols = b.index_array(dec.global_cols)
-        self.counts = b.asarray(dec.counts)
-        self.components = dec.components
-        self.offsets = dec.offsets
+        stack = self.stack
+        base = stack.base
+        comps, offsets, local = stack.tiled(base.components)
+        if local is None:
+            local = [(comp.a, comp.b) for comp in comps]
+        # Each scenario's component s sees that scenario's bounds gathered
+        # through the shared column map.
+        lbl = np.concatenate([lb[base.global_cols] for lb in stack.lb])
+        ubl = np.concatenate([ub[base.global_cols] for ub in stack.ub])
+        #: One box-constrained QP per stacked component: its slice of the
+        #: stacked local vector, its reduced system and its local bounds.
+        self.qps = []
+        for j, (a, b) in enumerate(local):
+            sl = slice(int(offsets[j]), int(offsets[j + 1]))
+            self.qps.append((sl, a, b, lbl[sl], ubl[sl]))
+        self._per_scenario = base.n_components
 
     # ------------------------------------------------------------------
-    def global_update(self, z, lam, rho: float):
-        """Unclipped x_hat of (10) — bounds live in the local subproblems."""
-        b = self.backend
-        scatter = b.scatter_add(self.gcols, z - lam / rho, self.n)
-        return (scatter - self.c / rho) / self.counts
-
     def solve_local(self, s: int, v_s: np.ndarray, rho: float) -> np.ndarray:
-        """Solve component ``s``'s box-constrained QP for target ``v_s``."""
-        comp = self.components[s]
+        """Solve stacked component ``s``'s box-constrained QP for target ``v_s``."""
+        _, a, b, lb, ub = self.qps[s]
         if self.local_mode == "projection":
-            return project_box_affine(v_s, comp.a, comp.b, comp.lb, comp.ub)
-        n_s = comp.n_vars
+            return project_box_affine(v_s, a, b, lb, ub)
+        n_s = a.shape[1]
         result = solve_qp_box_eq(
-            rho * np.eye(n_s),
-            -rho * v_s,
-            comp.a,
-            comp.b,
-            comp.lb,
-            comp.ub,
-            tol=self.config.qp_tol,
+            rho * np.eye(n_s), -rho * v_s, a, b, lb, ub, tol=self.config.qp_tol
         )
         return result.x
 
-    def local_update(self, bx, lam, rho: float):
-        v = bx + lam / rho
+    def local_update(self, bx, lam, rho):
+        v = bx + lam / self.rho_vectors(rho)[1]
         z = self.backend.empty(self.n_local)
-        for s in range(len(self.components)):
-            sl = self.dec.component_slice(s)
-            z[sl] = self.solve_local(s, v[sl], rho)
+        rho_k = self.rho_k
+        for s, qp in enumerate(self.qps):
+            rho_s = rho if rho_k is None else rho_k[s // self._per_scenario]
+            z[qp[0]] = self.solve_local(s, v[qp[0]], rho_s)
         return z
 
-    def dual_update(self, lam, bx, z, rho: float):
-        return lam + rho * (bx - z)
-
-    # ------------------------------------------------------------------
-    # Engine hooks (repro.core.loop)
-    # ------------------------------------------------------------------
-    def global_step(self, z, lam, rho):
-        return self.global_update(z, lam, rho)
-
-    def local_step(self, bx_eff, z_prev, lam, rho):
-        return self.local_update(bx_eff, lam, rho)
-
-    def dual_step(self, lam, bx_eff, z, rho):
-        return self.dual_update(lam, bx_eff, z, rho)
-
     def span_args(self) -> dict:
-        return {"n_vars": self.n, "local_mode": self.local_mode}
+        return {**super().span_args(), "local_mode": self.local_mode}
 
-    # ------------------------------------------------------------------
-    def initial_state(self, x0=None, z0=None, lam0=None):
-        b = self.backend
-        x = (
-            b.from_numpy(self.dec.lp.initial_point())
-            if x0 is None
-            else b.asarray(x0, copy=True)
-        )
-        z = x[self.gcols].copy() if z0 is None else b.asarray(z0, copy=True)
-        lam = b.zeros(self.n_local) if lam0 is None else b.asarray(lam0, copy=True)
-        return x, z, lam
-
-    def _make_loop(self, *, watch_stall: bool = True) -> ADMMLoop:
-        return ADMMLoop(
-            self,
-            self.config,
-            backend=self.backend,
-            tracer=self.tracer,
-            watch_stall=watch_stall,
-        )
-
-    def solve(
-        self,
-        x0=None,
-        z0=None,
-        lam0=None,
-        max_iter: int | None = None,
-        callback=None,
-    ) -> ADMMResult:
-        """Run the benchmark ADMM until (16) holds or the budget is hit."""
-        cfg = self.config
-        budget = cfg.max_iter if max_iter is None else max_iter
-        x, z, lam = self.initial_state(x0, z0, lam0)
-        loop = self._make_loop()
-        outcome = loop.run(x, z, lam, budget=budget, callback=callback)
-        if outcome.stalled and self.refinement_supported:
-            return self._refine(loop, outcome, budget, callback)
-        return loop.result(outcome)
-
-    # ------------------------------------------------------------------
     def _refinement_solver(self, backend) -> "BenchmarkADMM":
         return type(self)(
             self.dec, self.config, local_mode=self.local_mode,
             tracer=self.tracer, backend=backend,
         )
-
-    def _refine(
-        self, loop: ADMMLoop, outcome: LoopOutcome, budget: int, callback
-    ) -> ADMMResult:
-        """Continue a stalled low-precision solve in fp64 (same scheme as
-        :meth:`repro.core.solver_free.SolverFreeADMM._refine`)."""
-        remaining = budget - outcome.iterations
-        twin = self._refinement_solver(refinement_backend(self.backend))
-        if remaining <= 0 or twin is None:
-            return loop.result(outcome)
-        b = self.backend
-        x64, z64, lam64 = twin.initial_state(
-            b.to_numpy(outcome.x), b.to_numpy(outcome.z), b.to_numpy(outcome.lam)
-        )
-        loop64 = twin._make_loop(watch_stall=False)
-        out64 = loop64.run(x64, z64, lam64, budget=remaining, callback=callback)
-        result = loop64.result(out64)
-        result.iterations += outcome.iterations
-        if outcome.history is not None and out64.history is not None:
-            merged = outcome.history
-            for name in ("pres", "dres", "eps_prim", "eps_dual", "rho"):
-                getattr(merged, name).extend(getattr(out64.history, name))
-            result.history = merged
-        timers = dict(outcome.timers)
-        for key, val in result.timers.items():
-            timers[key] = timers.get(key, 0.0) + val
-        result.timers = timers
-        result.algorithm = f"{self.algorithm_name} (fp32 + fp64 refinement)"
-        return result
 
     # ------------------------------------------------------------------
     def measure_local_costs(self, repeats: int = 3, rho: float | None = None) -> np.ndarray:
@@ -212,20 +125,15 @@ class BenchmarkADMM(IterationStrategy):
         component — the benchmark's per-agent unit of work."""
         rho = self.config.rho if rho is None else rho
         rng = np.random.default_rng(0)
-        costs = np.empty(len(self.components))
-        for s, comp in enumerate(self.components):
-            v = rng.standard_normal(comp.n_vars) * 0.1
+        costs = np.empty(len(self.qps))
+        for s, (_, a, b, lb, ub) in enumerate(self.qps):
+            n_s = a.shape[1]
+            v = rng.standard_normal(n_s) * 0.1
             best = float("inf")
             for _ in range(repeats):
                 t0 = time.perf_counter()
                 solve_qp_box_eq(
-                    rho * np.eye(comp.n_vars),
-                    -rho * v,
-                    comp.a,
-                    comp.b,
-                    comp.lb,
-                    comp.ub,
-                    tol=self.config.qp_tol,
+                    rho * np.eye(n_s), -rho * v, a, b, lb, ub, tol=self.config.qp_tol
                 )
                 best = min(best, time.perf_counter() - t0)
             costs[s] = best

@@ -94,9 +94,6 @@ class IterationStrategy:
     use_relaxation = True
     #: Honor ``config.residual_balancing`` (fixed-rho variants opt out).
     supports_balancing = True
-    #: Honor ``config.divergence_guard`` (variants that handle non-finite
-    #: iterates themselves, like the stacked serving solve, opt out).
-    guard_enabled = True
     #: Set to a callable to replace the engine's residual computation.
     residuals = None
     #: Set to a callable ``(bx_eff, z_prev, lam, rho) -> (z, lam)`` to fuse
@@ -266,7 +263,7 @@ class ADMMLoop:
         stall_best = None  # running best of the stall metric
         stall_best_at_check = None  # its value at the previous check
         fused = strat.local_dual_step is not None
-        guard = cfg.divergence_guard and strat.guard_enabled
+        guard = cfg.divergence_guard
         spans = self.phase_spans
         # perf_counter stamps feed the phase timers and/or the phase spans.
         res = None

@@ -27,8 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.config import ADMMConfig
-from repro.core.loop import ADMMLoop
-from repro.core.results import ADMMResult
 from repro.core.solver_free import SolverFreeADMM
 from repro.decomposition.decomposed import DecomposedOPF
 
@@ -108,6 +106,9 @@ class PrivateSolverFreeADMM(SolverFreeADMM):
     #: refinement twin would double-spend the privacy budget.
     refinement_supported = False
     supports_balancing = False
+    #: The historical private loop kept no phase timers or spans; the
+    #: divergence guard still applies.
+    phase_timing = False
 
     def __init__(
         self,
@@ -142,20 +143,6 @@ class PrivateSolverFreeADMM(SolverFreeADMM):
         return out
 
     def local_step(self, bx_eff, z_prev, lam, rho):
-        z_exact = self.local_solver.solve(bx_eff + lam / rho)
+        z_exact = self.local_update(bx_eff, lam, rho)
         # Only the privatized solution leaves the agent.
         return self._privatize(z_exact, z_prev)
-
-    def _make_loop(self, *, watch_stall: bool = True) -> ADMMLoop:
-        # The historical private loop kept no phase timers or spans, and
-        # the noise floor makes the divergence guard's best-state capture
-        # pointless churn — but the guard itself still applies.
-        return ADMMLoop(
-            self,
-            self.config,
-            backend=self.backend,
-            tracer=self.tracer,
-            record_timers=False,
-            phase_spans=False,
-            watch_stall=False,
-        )

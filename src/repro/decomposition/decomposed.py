@@ -75,6 +75,11 @@ class DecomposedOPF:
         """Total stacked local dimension: sum of n_s."""
         return int(self.offsets[-1])
 
+    @property
+    def model(self) -> CentralizedLP:
+        """The decomposed model (objective, bounds, initial point)."""
+        return self.lp
+
     def component_slice(self, s: int) -> slice:
         return slice(int(self.offsets[s]), int(self.offsets[s + 1]))
 

@@ -36,7 +36,8 @@ def reduced_row_echelon(
         Right-hand side, shape ``(m,)``.
     tol:
         Pivot threshold, applied relative to the largest absolute entry of
-        the augmented matrix.
+        the augmented matrix, with the smallest normal float as an absolute
+        floor.
 
     Returns
     -------
@@ -65,7 +66,9 @@ def reduced_row_echelon(
     # Pivots are judged relative to the system's own magnitude; the
     # inconsistency check below keeps the absolute floor so sub-tolerance
     # noise rows (`0 = 1e-30`) are still dropped rather than rejected.
-    threshold = tol * scale
+    # The absolute floor keeps a subnormal system (where `tol * scale`
+    # underflows to 0) from normalising a denormal pivot.
+    threshold = max(tol * scale, np.finfo(HOST_DTYPE).tiny)
     infeasible_threshold = tol * max(scale, 1.0)
 
     rank = 0

@@ -60,8 +60,6 @@ TELEMETRY_SEAMS: frozenset[str] = frozenset(
     {
         "utils/timing.py",
         "core/loop.py",
-        "core/baseline.py",
-        "core/solver_free.py",
         "parallel/runner.py",
         "resilience/faults.py",
         "resilience/runner.py",

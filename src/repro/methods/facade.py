@@ -130,9 +130,12 @@ METHOD_SPECS: dict[Method, MethodSpec] = {
 class MethodProblem:
     """One feeder's model built for one method.
 
-    The LP rungs carry ``(lp, dec)``; the conic rung carries
-    ``(conic, conic_dec)``.  ``component_sizes`` is the width vector the
-    GPU cost model prices (cone blocks are width-4 components).
+    ``dec`` is the rung's decomposition: :class:`~repro.decomposition.
+    DecomposedOPF` of ``lp`` on the LP rungs, the conic decomposition of
+    ``conic`` on the conic rung — or a :class:`~repro.core.consensus.
+    ScenarioStack` of same-topology scenarios of either (a serving batch).
+    ``component_sizes`` is the width vector the GPU cost model prices
+    (cone blocks are width-4 components).
     """
 
     method: Method
@@ -140,14 +143,17 @@ class MethodProblem:
     lp: object | None = None
     dec: object | None = None
     conic: object | None = None
-    conic_dec: object | None = None
+
+    @property
+    def conic_dec(self):
+        """The conic rung's decomposition (``None`` on the LP rungs)."""
+        return self.dec if self.method is Method.SOCP else None
 
     @property
     def component_sizes(self) -> np.ndarray:
         if self.method is Method.SOCP:
-            cdec = self.conic_dec
-            linear = [c.n_vars for c in cdec.linear]
-            cones = [4] * cdec.cone_cols.shape[0]
+            linear = [c.n_vars for c in self.dec.linear]
+            cones = [4] * self.dec.cone_cols.shape[0]
             return np.array(linear + cones, dtype=np.int64)
         return np.array(
             [c.n_vars for c in self.dec.components], dtype=np.int64
@@ -172,10 +178,7 @@ def build_method_problem(net, method) -> MethodProblem:
         spec = METHOD_SPECS[method]
         conic = build_bfm_socp(net, **spec.build_kwargs)
         return MethodProblem(
-            method=method,
-            network=net,
-            conic=conic,
-            conic_dec=decompose_conic(conic),
+            method=method, network=net, conic=conic, dec=decompose_conic(conic)
         )
     lp = build_centralized_lp(net)
     return MethodProblem(method=method, network=net, lp=lp, dec=decompose(lp))
@@ -191,7 +194,9 @@ def make_method_solver(
     """Instantiate the rung's strategy on the shared loop/backend protocol.
 
     With ``config=None`` the method's spec defaults apply (its tolerance
-    tier); pass an explicit :class:`ADMMConfig` to override.
+    tier); pass an explicit :class:`ADMMConfig` to override.  A problem
+    whose ``dec`` is a :class:`~repro.core.consensus.ScenarioStack` gets
+    the same strategy over all of the stack's scenarios.
     """
     spec = METHOD_SPECS[problem.method]
     cfg = config if config is not None else spec.default_config()
@@ -205,9 +210,7 @@ def make_method_solver(
             problem.dec, cfg, local_mode="projection", tracer=tracer,
             backend=backend, precision=precision,
         )
-    return ConicSolverFreeADMM(
-        problem.conic_dec, cfg, backend=backend, precision=precision
-    )
+    return ConicSolverFreeADMM(problem.dec, cfg, backend=backend, precision=precision)
 
 
 def solve_with_method(

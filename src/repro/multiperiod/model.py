@@ -81,7 +81,7 @@ class MultiPeriodProblem:
     """The assembled time-expanded LP plus its structure.
 
     Duck-types the attributes the generic consensus machinery needs
-    (``rows``, ``var_index``, ``cost``, ``lb``, ``ub``) and can lower itself
+    (``rows``, ``var_index``, ``cones``, ``cost``, ``lb``, ``ub``) and can lower itself
     to a :class:`CentralizedLP` for the HiGHS reference.
     """
 
@@ -94,6 +94,9 @@ class MultiPeriodProblem:
     cost: np.ndarray
     lb: np.ndarray
     ub: np.ndarray
+    #: Cone-free: :func:`~repro.socp.solver.decompose_conic` takes the
+    #: problem directly and yields linear components only.
+    cones = ()
 
     @property
     def n_vars(self) -> int:

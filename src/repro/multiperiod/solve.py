@@ -9,43 +9,16 @@ each solved by the batched closed-form affine projection.
 
 from __future__ import annotations
 
-from repro.core.config import ADMMConfig
 from repro.multiperiod.model import MultiPeriodProblem
 from repro.socp.solver import ConicDecomposition, ConicSolverFreeADMM, decompose_conic
 
 
-class _ConicView:
-    """Duck-type adapter: a multi-period problem as a cone-free conic one."""
-
-    def __init__(self, problem: MultiPeriodProblem):
-        self._p = problem
-        self.rows = problem.rows
-        self.var_index = problem.var_index
-        self.cones: list = []
-        self.cost = problem.cost
-        self.lb = problem.lb
-        self.ub = problem.ub
-        self.n_vars = problem.n_vars
-
-    def initial_point(self):
-        return self._p.initial_point()
-
-
 def decompose_multiperiod(problem: MultiPeriodProblem) -> ConicDecomposition:
     """Support-grouped decomposition of the time-expanded LP."""
-    return decompose_conic(_ConicView(problem))
+    return decompose_conic(problem)
 
 
 class MultiPeriodSolverFreeADMM(ConicSolverFreeADMM):
     """Solver-free consensus ADMM over the multi-period components."""
 
     algorithm_name = "solver-free ADMM (multi-period with storage)"
-
-    def __init__(
-        self,
-        dec: ConicDecomposition,
-        config: ADMMConfig | None = None,
-        backend=None,
-        precision: str | None = None,
-    ):
-        super().__init__(dec, config, backend=backend, precision=precision)

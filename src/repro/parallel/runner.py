@@ -27,6 +27,7 @@ import numpy as np
 from repro.backend import get_backend
 from repro.core.batch import BatchedLocalSolver
 from repro.core.config import ADMMConfig
+from repro.core.consensus import global_update
 from repro.core.loop import ADMMLoop, IterationStrategy
 from repro.core.residuals import compute_residuals
 from repro.core.results import ADMMResult
@@ -35,6 +36,19 @@ from repro.parallel.assignment import assign_even, rank_partition
 from repro.parallel.comm import CommModel
 from repro.parallel.mpi_sim import SimComm
 from repro.telemetry import TRACK_CLUSTER, NULL_TRACER
+
+
+def rank_update(local_solver, offsets, comps, bx_r, lam_r, rho):
+    """One rank's local (15) and dual (19) updates over its contiguous
+    components ``comps``, un-batched: a CPU agent's unit of work."""
+    z_r = np.empty(bx_r.size)
+    pos = 0
+    for s in comps:
+        n_s = int(offsets[s + 1] - offsets[s])
+        v_s = bx_r[pos : pos + n_s] + lam_r[pos : pos + n_s] / rho
+        z_r[pos : pos + n_s] = local_solver.solve_one(s, v_s)
+        pos += n_s
+    return z_r, lam_r + rho * (bx_r - z_r)
 
 
 @dataclass
@@ -160,11 +174,10 @@ class DistributedADMMRunner(IterationStrategy):
         comm, dec = self._comm, self.dec
         clock0 = float(comm.clocks[0])
         t0 = time.perf_counter()
-        scatter = self.backend.scatter_add(
-            dec.global_cols, z - lam / rho, dec.lp.n_vars
+        x = global_update(
+            self.backend, dec.global_cols, dec.counts, dec.lp.cost, z, lam, rho,
+            (dec.lp.lb, dec.lp.ub),
         )
-        xhat = (scatter - dec.lp.cost / rho) / dec.counts
-        x = self.backend.clip(xhat, dec.lp.lb, dec.lp.ub)
         # The consensus gather happens on the aggregator, inside its
         # timed block; the engine's gather() just reads it back.
         self._bx = x[dec.global_cols]
@@ -197,14 +210,9 @@ class DistributedADMMRunner(IterationStrategy):
             lam_r = lam[idx]
             clock_r = float(comm.clocks[r])
             t0 = time.perf_counter()
-            z_r = np.empty(idx.size)
-            pos = 0
-            for s in self._rank_components[r]:
-                n_s = int(dec.offsets[s + 1] - dec.offsets[s])
-                v_s = bx_r[pos : pos + n_s] + lam_r[pos : pos + n_s] / rho
-                z_r[pos : pos + n_s] = self.local_solver.solve_one(s, v_s)
-                pos += n_s
-            lam_r = lam_r + rho * (bx_r - z_r)
+            z_r, lam_r = rank_update(
+                self.local_solver, dec.offsets, self._rank_components[r], bx_r, lam_r, rho
+            )
             dt = time.perf_counter() - t0
             comm.advance(r, dt)
             if tracer:

@@ -42,6 +42,7 @@ import numpy as np
 from repro.backend import get_backend
 from repro.core.batch import BatchedLocalSolver
 from repro.core.config import ADMMConfig
+from repro.core.consensus import global_update
 from repro.core.loop import ADMMLoop, IterationStrategy, RewindSignal, truncate_history
 from repro.core.residuals import compute_residuals
 from repro.core.results import ADMMResult, IterationHistory
@@ -49,7 +50,7 @@ from repro.decomposition.decomposed import DecomposedOPF
 from repro.parallel.assignment import assign_even, rank_partition, reassign_surviving
 from repro.parallel.comm import CommModel
 from repro.parallel.mpi_sim import SimComm
-from repro.parallel.runner import IterationTimeline
+from repro.parallel.runner import IterationTimeline, rank_update
 from repro.resilience.checkpoint import CheckpointStore
 from repro.resilience.faults import FaultInjector, FaultPlan
 from repro.telemetry import TRACK_CLUSTER, NULL_TRACER
@@ -183,14 +184,9 @@ class FaultTolerantADMMRunner(IterationStrategy):
         """One rank's local + dual updates, charged to its virtual clock
         (scaled by any active straggler slowdown)."""
         t0 = time.perf_counter()
-        z_r = np.empty(bx_r.size)
-        pos = 0
-        for s in comps_r:
-            n_s = int(self.dec.offsets[s + 1] - self.dec.offsets[s])
-            v_s = bx_r[pos : pos + n_s] + lam_r[pos : pos + n_s] / rho
-            z_r[pos : pos + n_s] = self.local_solver.solve_one(s, v_s)
-            pos += n_s
-        lam_out = lam_r + rho * (bx_r - z_r)
+        z_r, lam_out = rank_update(
+            self.local_solver, self.dec.offsets, comps_r, bx_r, lam_r, rho
+        )
         dt = (time.perf_counter() - t0) * injector.slowdown(r)
         comm.advance(r, dt)
         injector.corrupt(z_r, f"rank:{r}")
@@ -250,11 +246,10 @@ class FaultTolerantADMMRunner(IterationStrategy):
         comm = st["comm"]
         dec = self.dec
         t0 = time.perf_counter()
-        scatter = self.backend.scatter_add(
-            dec.global_cols, z - lam / rho, dec.lp.n_vars
+        x = global_update(
+            self.backend, dec.global_cols, dec.counts, dec.lp.cost, z, lam, rho,
+            (dec.lp.lb, dec.lp.ub),
         )
-        xhat = (scatter - dec.lp.cost / rho) / dec.counts
-        x = self.backend.clip(xhat, dec.lp.lb, dec.lp.ub)
         self._bx = x[dec.global_cols]
         comm.advance(0, time.perf_counter() - t0)
         return x

@@ -17,12 +17,14 @@ Two layers:
     The serving loop: bounded-queue submission (backpressure), same-topology
     batch grouping, warm-start seeding from the LRU cache, and one **stacked
     ADMM solve per batch**.  The K scenarios of a batch are independent, so
-    their union is itself a valid consensus problem — the stacked system is
-    dispatched through :class:`~repro.core.batch.BatchedLocalSolver`, whose
-    width buckets now hold the components of *all* scenarios: one padded
+    their union is itself a valid consensus problem — the batch runs the
+    rung's own strategy (:func:`~repro.methods.make_method_solver` over a
+    :class:`~repro.core.consensus.ScenarioStack`), whose batched-projection
+    width buckets hold the components of *all* scenarios: one padded
     batched matmul per width serves the whole group, which is exactly the
     amortization the paper's batched kernels exploit (and what the modeled
-    GPU timing in the metrics accounts).
+    GPU timing in the metrics accounts).  The engine adds only a serving
+    hook: per-scenario retirement, NaN isolation and solution snapshots.
 """
 
 from __future__ import annotations
@@ -34,10 +36,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.backend import resolve_backend
-from repro.core.batch import BatchedLocalSolver, projection_data
+from repro.core.batch import projection_data
 from repro.core.config import ADMMConfig
-from repro.core.loop import ADMMLoop, IterationStrategy
-from repro.decomposition import decompose
+from repro.core.consensus import ScenarioStack
+from repro.core.loop import ADMMLoop
 from repro.decomposition.rowreduce import reduced_row_echelon
 from repro.formulation import build_centralized_lp
 from repro.formulation.rows import rows_to_dense_local
@@ -45,13 +47,16 @@ from repro.gpu.costmodel import iteration_times_from_sizes
 from repro.gpu.device import A100, DeviceSpec
 from repro.gpu.kernel_sim import simulate_local_update
 from repro.io.resolve import resolve_feeder
-from repro.methods.facade import METHOD_SPECS, Method
+from repro.methods.facade import (
+    METHOD_SPECS,
+    Method,
+    MethodProblem,
+    build_method_problem,
+    make_method_solver,
+)
 from repro.methods.reference import solve_reference_socp
-from repro.qp.projection import project_box_affine
 from repro.reference import solve_reference
 from repro.socp.bfm import build_bfm_socp
-from repro.socp.cone import project_rotated_soc_batch
-from repro.socp.solver import decompose_conic
 from repro.resilience.faults import FaultInjector, FaultPlan
 from repro.resilience.policy import CircuitBreaker, CircuitOpenError, ResilienceConfig
 from repro.serve.metrics import ServingMetrics
@@ -78,20 +83,11 @@ from repro.utils.timing import PhaseTimer, Timer
 KERNEL_SIM_THREADS = 64
 
 #: Engine config of the stacked batch solves.  Per-request options replace
-#: the usual hyper-parameters (rho / eps_rel / budget are per-scenario
-#: vectors inside the strategy), so only the control-flow flags matter —
-#: in particular ``raise_on_max_iter`` stays off: budget exhaustion is an
-#: ``iteration_limit`` response status, never an exception.
-_STACKED_CONFIG = ADMMConfig(record_history=False)
-
-
-@dataclass
-class _ScenarioComponent:
-    """One component's local system under a specific scenario."""
-
-    n_vars: int
-    a: np.ndarray
-    b: np.ndarray
+#: the usual hyper-parameters, so only the control-flow flags matter:
+#: ``raise_on_max_iter`` stays off (budget exhaustion is an
+#: ``iteration_limit`` status, never an exception) and so does the
+#: divergence guard, in favor of the hook's per-scenario NaN isolation.
+_STACKED_CONFIG = ADMMConfig(record_history=False, divergence_guard=False)
 
 
 @dataclass
@@ -110,7 +106,6 @@ class ScenarioProblem:
     lb: np.ndarray
     ub: np.ndarray
     x0_default: np.ndarray
-    components: list[_ScenarioComponent]
     projections: list[tuple[np.ndarray, np.ndarray]]
     signature: np.ndarray
     lp: object = None
@@ -139,54 +134,26 @@ class TopologyPlan:
         self.feeder = feeder
         self.method = Method.parse(method).value
         self.net = resolve_feeder(feeder)
+        self.problem = build_method_problem(self.net, self.method)
+        dec = self.dec = self.problem.dec
+        self.n_vars = self.problem.n_vars
+        self.n_local = dec.n_local
+        # Cost-model widths: components (and 4-wide cone blocks).
+        self.sizes = self.problem.component_sizes
+        # Row ownership of the base partition; scenario rebuilds reuse it
+        # (perturbations never add/remove components or rows).
+        self._owner_to_spec: dict[tuple, int] = {}
         if self.method == "socp":
-            spec = METHOD_SPECS[Method.SOCP]
-            self.lp = None
-            self.dec = None
-            self.conic = build_bfm_socp(self.net, **spec.build_kwargs)
-            cdec = self.cdec = decompose_conic(self.conic)
-            self.n_vars = self.conic.n_vars
-            self.n_local = cdec.n_local
-            self.global_cols = cdec.global_cols
-            self.counts = cdec.counts
-            self.n_linear = cdec.n_linear
-            self.linear_offsets = cdec.offsets_linear
-            n_cones = cdec.cone_cols.shape[0]
-            linear_sizes = np.array(
-                [c.n_vars for c in cdec.linear], dtype=np.int64
-            )
-            # Cost-model widths: linear components plus 4-wide cone blocks.
-            self.sizes = np.concatenate(
-                [linear_sizes, np.full(n_cones, 4, dtype=np.int64)]
-            )
-            self.offsets = np.concatenate([[0], np.cumsum(self.sizes)])
-            # Row ownership in decompose_conic's first-seen order.
-            self._owner_to_spec = {}
-            for row in self.conic.rows:
-                self._owner_to_spec.setdefault(
-                    row.owner, len(self._owner_to_spec)
-                )
-            self._local_keys = [c.local_keys for c in cdec.linear]
+            # decompose_conic's first-seen owner order.
+            for row in self.problem.conic.rows:
+                self._owner_to_spec.setdefault(row.owner, len(self._owner_to_spec))
+            local_comps = dec.linear
         else:
-            self.conic = None
-            self.cdec = None
-            self.lp = build_centralized_lp(self.net)
-            self.dec = decompose(self.lp)
-            self.n_vars = self.lp.n_vars
-            self.n_local = self.dec.n_local
-            self.global_cols = self.dec.global_cols
-            self.counts = self.dec.counts
-            self.offsets = self.dec.offsets
-            self.sizes = np.array(
-                [c.n_vars for c in self.dec.components], dtype=np.int64
-            )
-            # Row ownership of the base partition; scenario rebuilds reuse
-            # it (perturbations never add/remove components or rows).
-            self._owner_to_spec: dict[tuple, int] = {}
-            for idx, spec in enumerate(self.dec.specs):
+            for idx, spec in enumerate(dec.specs):
                 for owner in spec.owners():
                     self._owner_to_spec[owner] = idx
-            self._local_keys = [c.local_keys for c in self.dec.components]
+            local_comps = dec.components
+        self._local_keys = [c.local_keys for c in local_comps]
         # Content-addressed projection cache: (component, digest of the raw
         # local system) -> the method's cached pair.  Shared across every
         # scenario served on this (topology, method) plan.
@@ -249,30 +216,33 @@ class TopologyPlan:
             inconsistent limits.
         """
         net = self._perturbed_network(request)
-        if self.method == "socp":
-            return self._build_scenario_socp(request, net)
-        lp = build_centralized_lp(net)
-        if lp.n_vars != self.n_vars:
+        socp = self.method == "socp"
+        if socp:
+            # Loads re-enter through the rebuilt branch-flow model's linear
+            # rows (bus balance) and bounds; the cone blocks are structural.
+            model = build_bfm_socp(net, **METHOD_SPECS[Method.SOCP].build_kwargs)
+        else:
+            model = build_centralized_lp(net)
+        if model.n_vars != self.n_vars:
             raise ValueError("scenario changed the variable space (topology?)")
-        rows_by_spec: list[list] = [[] for _ in self.dec.specs]
-        for row in lp.rows:
+        rows_by_spec: list[list] = [[] for _ in self._local_keys]
+        for row in model.rows:
             rows_by_spec[self._owner_to_spec[row.owner]].append(row)
-        components, projections = self._cached_components(rows_by_spec)
         return ScenarioProblem(
             request=request,
-            cost=lp.cost,
-            lb=lp.lb,
-            ub=lp.ub,
-            x0_default=lp.initial_point(),
-            components=components,
-            projections=projections,
+            cost=model.cost,
+            lb=model.lb,
+            ub=model.ub,
+            x0_default=model.initial_point(),
+            projections=self._cached_projections(rows_by_spec),
             signature=self._signature(net),
-            lp=lp,
+            lp=None if socp else model,
+            conic=model if socp else None,
         )
 
-    def _cached_components(
+    def _cached_projections(
         self, rows_by_spec: list[list]
-    ) -> tuple[list[_ScenarioComponent], list[tuple[np.ndarray, np.ndarray]]]:
+    ) -> list[tuple[np.ndarray, np.ndarray]]:
         """Assemble each component's local system through the cache.
 
         The cached pair is method-specific — ``(M, bbar)`` batched
@@ -280,11 +250,9 @@ class TopologyPlan:
         reduced ``(A, b)`` rows for ``qp`` — but the content-addressing
         (raw system bytes) and the hit accounting are identical.
         """
-        components: list[_ScenarioComponent] = []
         projections: list[tuple[np.ndarray, np.ndarray]] = []
         for s, rows in enumerate(rows_by_spec):
-            keys = self._local_keys[s]
-            a_raw, b_raw = rows_to_dense_local(rows, keys)
+            a_raw, b_raw = rows_to_dense_local(rows, self._local_keys[s])
             digest = hashlib.sha256(a_raw.tobytes() + b_raw.tobytes()).digest()
             cached = self._projections.get((s, digest))
             if cached is None:
@@ -297,39 +265,24 @@ class TopologyPlan:
                 self.factorizations_computed += 1
             else:
                 self.factorizations_reused += 1
-            components.append(
-                _ScenarioComponent(n_vars=len(keys), a=np.zeros((0, len(keys))), b=np.zeros(0))
-            )
             projections.append(cached)
-        return components, projections
+        return projections
 
-    def _build_scenario_socp(self, request: OPFRequest, net) -> ScenarioProblem:
-        """Assemble one conic scenario: the perturbation re-enters through
-        the rebuilt branch-flow model's linear rows (loads live in the bus
-        balance) and bounds; the cone blocks are structural and need no
-        per-scenario work.  ``lp=None`` but the conic problem itself is
-        retained — an unrecoverable divergence degrades to the HiGHS
-        cutting-plane reference solve of exactly this model."""
-        spec = METHOD_SPECS[Method.SOCP]
-        conic = build_bfm_socp(net, **spec.build_kwargs)
-        if conic.n_vars != self.n_vars:
-            raise ValueError("scenario changed the variable space (topology?)")
-        rows_by_spec: list[list] = [[] for _ in self.cdec.linear]
-        for row in conic.rows:
-            rows_by_spec[self._owner_to_spec[row.owner]].append(row)
-        components, projections = self._cached_components(rows_by_spec)
-        return ScenarioProblem(
-            request=request,
-            cost=conic.cost,
-            lb=conic.lb,
-            ub=conic.ub,
-            x0_default=conic.initial_point(),
-            components=components,
-            projections=projections,
-            signature=self._signature(net),
-            lp=None,
-            conic=conic,
+    def stacked(self, problems: list[ScenarioProblem]) -> MethodProblem:
+        """The K scenarios as one problem of this plan's method: a
+        :class:`~repro.core.consensus.ScenarioStack` over the plan's
+        decomposition, each scenario carrying its cached local data and
+        its own rho."""
+        stack = ScenarioStack(
+            self.dec,
+            cost=[p.cost for p in problems],
+            lb=[p.lb for p in problems],
+            ub=[p.ub for p in problems],
+            x0=[p.x0_default for p in problems],
+            local=[p.projections for p in problems],
+            rho=np.array([p.request.options.rho for p in problems]),
         )
+        return MethodProblem(self.problem.method, self.net, dec=stack)
 
     def export_projections(self) -> list[tuple[int, bytes, np.ndarray, np.ndarray]]:
         """Content-addressed cache entries as ``(component, digest, M, bbar)``.
@@ -378,7 +331,7 @@ class _StackedStatus:
     scalar aggregates for tracing plus ``converged`` = every scenario
     retired (converged, budget-exhausted, timed out or diverged)."""
 
-    __slots__ = ("pres", "dres", "eps_prim", "eps_dual", "converged", "finite")
+    __slots__ = ("pres", "dres", "eps_prim", "eps_dual", "converged")
 
     def __init__(self, pres, dres, eps_prim, eps_dual, converged):
         self.pres = pres
@@ -386,55 +339,32 @@ class _StackedStatus:
         self.eps_prim = eps_prim
         self.eps_dual = eps_dual
         self.converged = converged
-        self.finite = True
 
 
-class _StackedBatchStrategy(IterationStrategy):
-    """K independent same-topology scenarios as one consensus problem.
+class _ServingBatch:
+    """The serving hook around one stacked batch solve.
 
-    The union of the scenarios is itself a valid instance of Algorithm 1
-    (block-diagonal stacking, scenario-major layout), so the batch runs on
-    the shared :class:`~repro.core.loop.ADMMLoop` like every other solver
-    variant.  What is *not* shared is termination: each scenario owns its
-    rho / eps_rel / budget / deadline, converges independently (its
-    solution snapshot is frozen the iteration it finishes), and a
-    non-finite iterate retires only its own slices.  The engine-level
-    divergence guard is therefore disabled (``guard_enabled = False``) in
-    favor of this per-scenario isolation, which feeds the caller's
-    retry/degradation policy instead of raising.
+    Wraps the rung strategy the :mod:`repro.methods` dispatch built over
+    K same-topology scenarios.  The strategy owns every update rule (each
+    scenario's rho rides in its stack as data); every attribute this hook
+    does not define is the strategy's.  What serving adds is per-scenario
+    termination: each scenario owns its eps_rel / budget / deadline,
+    retires independently (its solution snapshot is frozen the iteration
+    it finishes), and a non-finite iterate retires only its own slices,
+    which are reset.  The batch loop runs with the divergence guard off,
+    so isolation feeds the caller's retry/degradation policy instead of
+    raising.  The chaos hook corrupts a target scenario's local iterate.
     """
 
-    algorithm_name = "stacked solver-free ADMM"
-    use_relaxation = False
-    supports_balancing = False
-    guard_enabled = False
-
-    def __init__(self, engine: "ScenarioEngine", plan: TopologyPlan, problems, solver):
-        b = engine.backend
-        self.backend = b
-        self.plan = plan
+    def __init__(self, engine: "ScenarioEngine", strategy, problems):
+        self.strategy = strategy
         self.problems = problems
-        self.solver = solver
         self.injector = engine.injector if engine.injector else None
         k_n = len(problems)
-        self.k_n = k_n
-        self.n = plan.n_vars
-        self.n_local = plan.n_local
-        self.gcols = b.index_array(
-            np.concatenate([plan.global_cols + k * self.n for k in range(k_n)])
-        )
-        self.counts = b.asarray(np.tile(plan.counts, k_n))
-        self.c = b.asarray(np.concatenate([p.cost for p in problems]))
-        self.lb = b.asarray(np.concatenate([p.lb for p in problems]))
-        self.ub = b.asarray(np.concatenate([p.ub for p in problems]))
-        # Per-scenario solve options, expanded to the stacked dimensions.
-        # rho enters the iterates in the compute dtype (no silent fp64
-        # promotion under fp32); the host fp64 copy feeds the residuals.
-        self.rho_k = np.array([p.request.options.rho for p in problems])
+        self.scenario_n = strategy.n // k_n
+        self.scenario_n_local = strategy.n_local // k_n
         self.eps_k = np.array([p.request.options.eps_rel for p in problems])
         self.budget_k = np.array([p.request.options.max_iter for p in problems])
-        self.rho_g = b.asarray(np.repeat(self.rho_k, self.n))
-        self.rho_l = b.asarray(np.repeat(self.rho_k, self.n_local))
         # Per-scenario termination bookkeeping (host-side).
         self.done = np.zeros(k_n, dtype=bool)
         self.iters = np.zeros(k_n, dtype=np.int64)
@@ -456,6 +386,15 @@ class _StackedBatchStrategy(IterationStrategy):
         self.check_every = engine.resilience.deadline_check_every
         self._iteration = 0
 
+    def __getattr__(self, name):
+        if name == "strategy":  # not yet bound: no delegation loop
+            raise AttributeError(name)
+        value = getattr(self.strategy, name)
+        # Bind it here: the loop reads its hooks every iteration, and a
+        # batch's strategy does not change while it solves.
+        setattr(self, name, value)
+        return value
+
     def bind_state(self, x, z, lam) -> None:
         """Seed the solution snapshots from the initial state — the values
         reported for scenarios that never converge within budget."""
@@ -464,31 +403,19 @@ class _StackedBatchStrategy(IterationStrategy):
         self.snap_lam = lam.copy()
 
     # -- engine hooks ---------------------------------------------------
-    def span_args(self) -> dict:
-        return {"scenarios": self.k_n, "n_vars": self.k_n * self.n}
-
     def on_iteration_start(self, iteration: int, z, lam, rho):
         self._iteration = iteration
         return z, lam
 
-    def global_step(self, z, lam, rho):
-        b = self.backend
-        scatter = b.scatter_add(self.gcols, z - lam / self.rho_l, self.k_n * self.n)
-        return b.clip((scatter - self.c / self.rho_g) / self.counts, self.lb, self.ub)
-
-    def _local_solve(self, v):
-        """The method-specific stacked local update (subclass hook)."""
-        return self.solver.solve(v)
-
     def local_step(self, bx_eff, z_prev, lam, rho):
-        z = self._local_solve(bx_eff + lam / self.rho_l)
+        z = self.strategy.local_step(bx_eff, z_prev, lam, rho)
         injector = self.injector
         if injector is not None:
             # Chaos hook: seeded NaN corruption of a target scenario's
             # local iterate (the batched-kernel payload), applied to the
             # scenario's own slice only.
             injector.begin_iteration(self._iteration)
-            n_local = self.n_local
+            n_local = self.scenario_n_local
             for k, p in enumerate(self.problems):
                 if not self.done[k]:
                     injector.corrupt(
@@ -496,30 +423,22 @@ class _StackedBatchStrategy(IterationStrategy):
                     )
         return z
 
-    def dual_step(self, lam, bx_eff, z, rho):
-        return lam + self.rho_l * (bx_eff - z)
+    def _norms(self, v):
+        """Per-scenario norms of a stacked local vector, accumulated per
+        the backend's policy."""
+        b = self.backend
+        v = v.reshape(len(self.problems), -1).astype(b.accumulate_dtype, copy=False)
+        return b.xp.linalg.norm(v, axis=1)
 
     def residuals(self, iteration, x, bx, z, z_prev, lam, rho) -> _StackedStatus:
         """Per-scenario residuals of (16) plus the retirement bookkeeping:
         scenario-major slices reshape cleanly to (K, n_local)."""
-        b = self.backend
-        xp = b.xp
-        acc = b.accumulate_dtype
-        k_n, n, n_local = self.k_n, self.n, self.n_local
-        diff = (bx - z).reshape(k_n, n_local).astype(acc, copy=False)
-        move = (z - z_prev).reshape(k_n, n_local).astype(acc, copy=False)
-        pres = b.to_numpy(xp.linalg.norm(diff, axis=1))
-        dres = self.rho_k * b.to_numpy(xp.linalg.norm(move, axis=1))
-        norm_bx = xp.linalg.norm(
-            bx.reshape(k_n, n_local).astype(acc, copy=False), axis=1
-        )
-        norm_z = xp.linalg.norm(
-            z.reshape(k_n, n_local).astype(acc, copy=False), axis=1
-        )
-        eps_prim = self.eps_k * b.to_numpy(xp.maximum(norm_bx, norm_z))
-        eps_dual = self.eps_k * b.to_numpy(
-            xp.linalg.norm(lam.reshape(k_n, n_local).astype(acc, copy=False), axis=1)
-        )
+        n, n_local = self.scenario_n, self.scenario_n_local
+        host, norms = self.backend.to_numpy, self._norms
+        pres = host(norms(bx - z))
+        dres = self.rho_k * host(norms(z - z_prev))
+        eps_prim = self.eps_k * host(self.backend.xp.maximum(norms(bx), norms(z)))
+        eps_dual = self.eps_k * host(norms(lam))
         done = self.done
         # Divergence isolation: a non-finite iterate retires its scenario
         # immediately (for retry/degradation by the caller) and its slices
@@ -529,13 +448,11 @@ class _StackedBatchStrategy(IterationStrategy):
             self.diverged |= bad
             done |= bad
             self.iters[bad] = iteration
+            x0, z0, lam0 = self.strategy.initial_state()
             for k in np.flatnonzero(bad):
                 gs = slice(k * n, (k + 1) * n)
                 ls = slice(k * n_local, (k + 1) * n_local)
-                p = self.problems[k]
-                x[gs] = p.x0_default
-                z[ls] = p.x0_default[self.plan.global_cols]
-                lam[ls] = 0.0
+                x[gs], z[ls], lam[ls] = x0[gs], z0[ls], lam0[ls]
         # Deadline sweep: cheap, so only every `check_every` iterations.
         if self.has_deadline and iteration % self.check_every == 0:
             late = ~done & (self.deadline_at < time.perf_counter())
@@ -564,111 +481,6 @@ class _StackedBatchStrategy(IterationStrategy):
             eps_dual=float(eps_dual.min()),
             converged=bool(done.all()),
         )
-
-
-class _StackedQPStrategy(_StackedBatchStrategy):
-    """The ``qp`` rung stacked: benchmark ADMM over same-topology scenarios.
-
-    Mirrors :class:`~repro.core.baseline.BenchmarkADMM` in its closed-form
-    ``projection`` local mode — the global step is *unclipped* (bounds
-    move into the local box-QPs), and each component's local update is the
-    exact projection onto ``{A_s x = b_s} ∩ [lb_s, ub_s]``.  Shares all
-    residual/snapshot/deadline/divergence bookkeeping with the base.
-    """
-
-    algorithm_name = "stacked benchmark ADMM (box-QP projections)"
-
-    def __init__(self, engine: "ScenarioEngine", plan: TopologyPlan, problems):
-        super().__init__(engine, plan, problems, solver=None)
-        # Stacked local bounds: scenario k's component s sees the scenario
-        # LP's bounds gathered through the shared column map.
-        self.lbl = np.concatenate([p.lb[plan.global_cols] for p in problems])
-        self.ubl = np.concatenate([p.ub[plan.global_cols] for p in problems])
-
-    def global_step(self, z, lam, rho):
-        b = self.backend
-        scatter = b.scatter_add(self.gcols, z - lam / self.rho_l, self.k_n * self.n)
-        return (scatter - self.c / self.rho_g) / self.counts
-
-    def _local_solve(self, v):
-        b = self.backend
-        v = b.to_numpy(v)
-        z = np.empty_like(v)
-        offsets = self.plan.offsets
-        n_local = self.n_local
-        for k, p in enumerate(self.problems):
-            base = k * n_local
-            for s, (a_red, b_red) in enumerate(p.projections):
-                sl = slice(base + int(offsets[s]), base + int(offsets[s + 1]))
-                z[sl] = project_box_affine(
-                    v[sl], a_red, b_red, self.lbl[sl], self.ubl[sl]
-                )
-        return b.asarray(z)
-
-
-class _StackedConicStrategy(_StackedBatchStrategy):
-    """The ``socp`` rung stacked: conic consensus ADMM over K scenarios.
-
-    Per-scenario layout is ``[linear components | 4-wide cone blocks]``
-    (the conic decomposition's stacked order), scenario-major — so the
-    shared residual reshape, snapshot freezing and divergence isolation
-    of the base apply unchanged.  The linear parts of *all* scenarios run
-    through one :class:`~repro.core.batch.BatchedLocalSolver` (padded
-    batched matmuls, exactly the linearized engine's amortization) and
-    every cone of every scenario goes through one vectorized rotated-SOC
-    projection call.
-    """
-
-    algorithm_name = "stacked solver-free conic ADMM"
-
-    def __init__(self, engine: "ScenarioEngine", plan: TopologyPlan, problems):
-        comps_all = [c for p in problems for c in p.components]
-        projections_all = [pr for p in problems for pr in p.projections]
-        linear_sizes = plan.sizes[: len(plan.cdec.linear)]
-        sizes_lin = np.tile(linear_sizes, len(problems))
-        offsets_lin = np.concatenate([[0], np.cumsum(sizes_lin)])
-        solver = BatchedLocalSolver.from_parts(
-            comps_all, offsets_lin, projections=projections_all,
-            backend=engine.backend,
-        )
-        super().__init__(engine, plan, problems, solver)
-        self.n_linear = plan.n_linear
-
-    def _local_solve(self, v):
-        b = self.backend
-        xp = b.xp
-        k_n, n_local, n_linear = self.k_n, self.n_local, self.n_linear
-        vmat = v.reshape(k_n, n_local)
-        z = b.empty(k_n * n_local)
-        zmat = z.reshape(k_n, n_local)
-        zmat[:, :n_linear] = self.solver.solve(
-            xp.ascontiguousarray(vmat[:, :n_linear]).reshape(-1)
-        ).reshape(k_n, n_linear)
-        cone = vmat[:, n_linear:].reshape(-1, 4)
-        u, w, pq = project_rotated_soc_batch(cone[:, 0], cone[:, 1], cone[:, 2:])
-        out = xp.concatenate([u[:, None], w[:, None], pq], axis=1)
-        zmat[:, n_linear:] = out.reshape(k_n, n_local - n_linear)
-        return z
-
-
-def _make_stacked_strategy(
-    engine: "ScenarioEngine", plan: TopologyPlan, problems
-) -> _StackedBatchStrategy:
-    """Dispatch the plan's method to its stacked strategy (the serving
-    side of the :mod:`repro.methods` facade)."""
-    if plan.method == "socp":
-        return _StackedConicStrategy(engine, plan, problems)
-    if plan.method == "qp":
-        return _StackedQPStrategy(engine, plan, problems)
-    comps_all = [c for p in problems for c in p.components]
-    projections_all = [pr for p in problems for pr in p.projections]
-    sizes_all = np.tile(plan.sizes, len(problems))
-    offsets_all = np.concatenate([[0], np.cumsum(sizes_all)])
-    solver = BatchedLocalSolver.from_parts(
-        comps_all, offsets_all, projections=projections_all,
-        backend=engine.backend,
-    )
-    return _StackedBatchStrategy(engine, plan, problems, solver)
 
 
 class ScenarioEngine:
@@ -1214,8 +1026,10 @@ class ScenarioEngine:
         self, plan: TopologyPlan, problems: list[ScenarioProblem]
     ) -> _BatchOutcome:
         """One ADMM run over the union of K independent same-topology
-        scenarios (scenario-major stacking), dispatched through the shared
-        :class:`~repro.core.loop.ADMMLoop` under the engine's backend."""
+        scenarios (scenario-major stacking): the method's own strategy over
+        the stacked scenarios, wrapped in the serving hook and run on the
+        shared :class:`~repro.core.loop.ADMMLoop` under the engine's
+        backend."""
         b = self.backend
         k_n = len(problems)
         n = plan.n_vars
@@ -1223,12 +1037,13 @@ class ScenarioEngine:
 
         sizes_all = np.tile(plan.sizes, k_n)
         with self.timers.measure("stack"):
-            strat = _make_stacked_strategy(self, plan, problems)
+            strategy = make_method_solver(
+                plan.stacked(problems), _STACKED_CONFIG, backend=b
+            )
+            strat = _ServingBatch(self, strategy, problems)
 
         # Warm starts: seed each scenario from its nearest cached neighbour.
-        x = b.empty(k_n * n)
-        z = b.empty(k_n * n_local)
-        lam = b.empty(k_n * n_local)
+        x, z, lam = strategy.initial_state()
         warm = np.zeros(k_n, dtype=bool)
         warm_dist = np.full(k_n, np.nan)
         with self.tracer.span("serve.warm_lookup", cat="serve", scenarios=k_n):
@@ -1238,35 +1053,28 @@ class ScenarioEngine:
                     if self.warm_start
                     else None
                 )
-                gs, ls = slice(k * n, (k + 1) * n), slice(k * n_local, (k + 1) * n_local)
                 if hit is not None:
                     entry, dist = hit
+                    gs = slice(k * n, (k + 1) * n)
+                    ls = slice(k * n_local, (k + 1) * n_local)
                     x[gs], z[ls], lam[ls] = entry.x, entry.z, entry.lam
                     warm[k], warm_dist[k] = True, dist
-                else:
-                    x[gs] = p.x0_default
-                    z[ls] = p.x0_default[plan.global_cols]
-                    lam[ls] = 0.0
         strat.bind_state(x, z, lam)
 
         # Stacked Algorithm 1 on the shared engine.  Per-scenario
         # termination, deadlines and divergence isolation live in the
-        # strategy's residuals hook; the engine's history/balancing/stall
-        # machinery is off (per-request options replace the ADMMConfig).
+        # hook's residuals; the engine's timers/stall machinery is off.
         loop = ADMMLoop(
             strat,
             _STACKED_CONFIG,
             backend=b,
             tracer=self.tracer,
             record_timers=False,
-            record_history=False,
             watch_stall=False,
         )
         trc = self.tracer
         t_solve = time.perf_counter()
-        outcome = loop.run(
-            x, z, lam, budget=int(strat.budget_k.max()), rho=float(strat.rho_k[0])
-        )
+        outcome = loop.run(x, z, lam, budget=int(strat.budget_k.max()))
         t_end = time.perf_counter()
         iteration = outcome.iterations
         solve_seconds = t_end - t_solve

@@ -20,12 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.backend import resolve_backend
 from repro.backend.policy import HOST_DTYPE
 from repro.core.batch import BatchedLocalSolver
 from repro.core.config import ADMMConfig
-from repro.core.loop import ADMMLoop, IterationStrategy
-from repro.core.results import ADMMResult
+from repro.core.consensus import ConsensusADMM, ScenarioStack
 from repro.decomposition.rowreduce import reduced_row_echelon
 from repro.formulation.rows import Row, rows_to_dense_local
 from repro.socp.bfm import ConicProblem
@@ -71,6 +69,11 @@ class ConicDecomposition:
     @property
     def n_local(self) -> int:
         return int(self.global_cols.size)
+
+    @property
+    def model(self) -> ConicProblem:
+        """The decomposed problem (objective, bounds, initial point)."""
+        return self.problem
 
 
 def _component_keys_for_rows(rows: list[Row]) -> list:
@@ -145,12 +148,14 @@ def decompose_conic(problem: ConicProblem, rref_tol: float = 1e-9) -> ConicDecom
     )
 
 
-class ConicSolverFreeADMM(IterationStrategy):
+class ConicSolverFreeADMM(ConsensusADMM):
     """Consensus ADMM over linear + conic components, all closed form.
 
-    Runs on :class:`repro.core.loop.ADMMLoop` like every other variant;
-    the cone projections are dtype-preserving, so fp32 backends carry
-    through unchanged.
+    ``dec`` is the conic decomposition, or a
+    :class:`~repro.core.consensus.ScenarioStack` of same-topology scenarios
+    of it (each scenario laid out as its linear components, then its
+    4-wide cone blocks).  The cone projections are dtype-preserving, so
+    fp32 backends carry through unchanged.
     """
 
     algorithm_name = "solver-free conic ADMM (branch-flow SOCP)"
@@ -158,89 +163,40 @@ class ConicSolverFreeADMM(IterationStrategy):
     # over-relaxation or rho rescaling.
     use_relaxation = False
     supports_balancing = False
+    # The historical conic loop kept no phase timers, spans or stall watch.
+    refinement_supported = False
+    phase_timing = False
 
     def __init__(
         self,
-        dec: ConicDecomposition,
+        dec: ConicDecomposition | ScenarioStack,
         config: ADMMConfig | None = None,
         backend=None,
         precision: str | None = None,
     ):
-        self.dec = dec
-        self.config = config or ADMMConfig()
+        super().__init__(dec, config, backend=backend, precision=precision)
         if self.config.residual_balancing or self.config.relaxation != 1.0:
             raise ValueError("the conic solver runs plain ADMM only")
-        self.backend = resolve_backend(backend, precision)
-        b = self.backend
-        problem = dec.problem
-        self.n = problem.n_vars
-        self.n_local = dec.n_local
-        self.c = b.asarray(problem.cost)
-        self.lb = b.asarray(problem.lb)
-        self.ub = b.asarray(problem.ub)
-        self.gcols = b.index_array(dec.global_cols)
-        self.counts = b.asarray(dec.counts)
+        base = self.stack.base
+        self.n_linear = base.n_linear
+        comps, offsets, local = self.stack.tiled(base.linear)
         self.linear_solver = BatchedLocalSolver.from_parts(
-            dec.linear, dec.offsets_linear, backend=b
+            comps, offsets, projections=local, backend=self.backend
         )
 
-    def local_update(self, v) -> np.ndarray:
-        """Batched closed-form projections: affine blocks, then cones."""
-        dec = self.dec
+    def local_update(self, bx, lam, rho):
+        """Batched closed-form projections of ``v = B x + lam / rho``:
+        every scenario's affine blocks in one batch, then every cone."""
         b = self.backend
+        k_n, n_linear = self.k_n, self.n_linear
+        v = (bx + lam / self.rho_vectors(rho)[1]).reshape(k_n, -1)
         z = b.empty(self.n_local)
-        z[: dec.n_linear] = self.linear_solver.solve(v[: dec.n_linear])
-        cone_part = v[dec.n_linear :].reshape(-1, 4)
-        u, w, pq = project_rotated_soc_batch(
-            cone_part[:, 0], cone_part[:, 1], cone_part[:, 2:]
-        )
+        zmat = z.reshape(k_n, -1)
+        zmat[:, :n_linear] = self.linear_solver.solve(
+            b.xp.ascontiguousarray(v[:, :n_linear]).reshape(-1)
+        ).reshape(k_n, n_linear)
+        cone = v[:, n_linear:].reshape(-1, 4)
+        u, w, pq = project_rotated_soc_batch(cone[:, 0], cone[:, 1], cone[:, 2:])
         out = b.xp.concatenate([u[:, None], w[:, None], pq], axis=1)
-        z[dec.n_linear :] = out.reshape(-1)
+        zmat[:, n_linear:] = out.reshape(k_n, -1)
         return z
-
-    # ------------------------------------------------------------------
-    # Engine hooks (repro.core.loop)
-    # ------------------------------------------------------------------
-    def global_step(self, z, lam, rho):
-        b = self.backend
-        scatter = b.scatter_add(self.gcols, z - lam / rho, self.n)
-        return b.clip((scatter - self.c / rho) / self.counts, self.lb, self.ub)
-
-    def local_step(self, bx_eff, z_prev, lam, rho):
-        return self.local_update(bx_eff + lam / rho)
-
-    def span_args(self) -> dict:
-        return {"n_vars": self.n, "n_components": self.dec.n_components}
-
-    def solve(self, x0: np.ndarray | None = None, max_iter: int | None = None) -> ADMMResult:
-        """Run to the (16) criterion.
-
-        Raises
-        ------
-        ConvergenceError
-            Only if ``config.raise_on_max_iter`` is set and the budget runs
-            out.
-        """
-        cfg = self.config
-        b = self.backend
-        budget = cfg.max_iter if max_iter is None else max_iter
-        x = (
-            b.from_numpy(self.dec.problem.initial_point())
-            if x0 is None
-            else b.asarray(x0, copy=True)
-        )
-        if x.shape != (self.n,):
-            raise ValueError("warm start has wrong length")
-        z = x[self.gcols].copy()
-        lam = b.zeros(self.n_local)
-        # The historical conic loop kept no phase timers or spans.
-        loop = ADMMLoop(
-            self,
-            cfg,
-            backend=b,
-            record_timers=False,
-            phase_spans=False,
-            watch_stall=False,
-        )
-        outcome = loop.run(x, z, lam, budget=budget)
-        return loop.result(outcome)

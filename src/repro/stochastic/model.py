@@ -70,7 +70,7 @@ class StochasticProblem:
     """The assembled scenario-expanded LP plus its two-stage structure.
 
     Duck-types the attributes the generic consensus machinery needs
-    (``rows``, ``var_index``, ``cost``, ``lb``, ``ub``) and can lower
+    (``rows``, ``var_index``, ``cones``, ``cost``, ``lb``, ``ub``) and can lower
     itself to a :class:`CentralizedLP` for the HiGHS reference.
     """
 
@@ -84,6 +84,9 @@ class StochasticProblem:
     cost: np.ndarray
     lb: np.ndarray
     ub: np.ndarray
+    #: Cone-free: :func:`~repro.socp.solver.decompose_conic` takes the
+    #: problem directly and yields linear components only.
+    cones = ()
 
     @property
     def n_vars(self) -> int:

@@ -34,41 +34,15 @@ from repro.stochastic.model import (
 from repro.stochastic.sampler import ScenarioSet
 
 
-class _ConicView:
-    """Duck-type adapter: the stochastic problem as a cone-free conic one."""
-
-    def __init__(self, problem: StochasticProblem):
-        self._p = problem
-        self.rows = problem.rows
-        self.var_index = problem.var_index
-        self.cones: list = []
-        self.cost = problem.cost
-        self.lb = problem.lb
-        self.ub = problem.ub
-        self.n_vars = problem.n_vars
-
-    def initial_point(self):
-        return self._p.initial_point()
-
-
 def decompose_stochastic(problem: StochasticProblem) -> ConicDecomposition:
     """Support-grouped decomposition of the scenario-expanded LP."""
-    return decompose_conic(_ConicView(problem))
+    return decompose_conic(problem)
 
 
 class StochasticSolverFreeADMM(ConicSolverFreeADMM):
     """Solver-free consensus ADMM over all scenarios' components at once."""
 
     algorithm_name = "solver-free ADMM (two-stage stochastic)"
-
-    def __init__(
-        self,
-        dec: ConicDecomposition,
-        config: ADMMConfig | None = None,
-        backend=None,
-        precision: str | None = None,
-    ):
-        super().__init__(dec, config, backend=backend, precision=precision)
 
 
 @dataclass

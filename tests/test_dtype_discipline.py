@@ -11,17 +11,17 @@ strategies produce stays in the backend's compute dtype (reductions are
 import numpy as np
 import pytest
 
-import repro.serve.engine as serve_engine
 from repro.backend import get_backend
 from repro.core.baseline import BenchmarkADMM
 from repro.core.batch import BatchedLocalSolver
 from repro.core.config import ADMMConfig
+from repro.core.consensus import ConsensusADMM
 from repro.core.solver_free import SolverFreeADMM
 from repro.decomposition import decompose
 from repro.feeders import ieee13
 from repro.formulation import build_centralized_lp
 from repro.qp.projection import project_box_affine
-from repro.serve import OPFRequest, ScenarioEngine
+from repro.serve import OPFRequest, ScenarioEngine, SolveOptions
 from repro.socp.solver import ConicSolverFreeADMM
 
 
@@ -129,24 +129,36 @@ class TestConic:
 
 
 class TestServe:
-    def test_stacked_solve_stays_fp32(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "method, max_iter", [("linearized", 20_000), ("qp", 100), ("socp", 300)]
+    )
+    def test_stacked_solve_stays_fp32(self, monkeypatch, method, max_iter):
+        """A serving batch runs its rung's own update rules (the shared
+        ConsensusADMM hooks) over all its scenarios, in fp32 throughout."""
         seen = []
-        orig = serve_engine._StackedBatchStrategy.local_step
+        orig = ConsensusADMM.local_step
 
         def spy(self, bx_eff, z_prev, lam, rho):
             z = orig(self, bx_eff, z_prev, lam, rho)
-            seen.append((bx_eff.dtype, z.dtype, lam.dtype))
+            seen.append((self.k_n, bx_eff.dtype, z.dtype, lam.dtype))
             return z
 
-        monkeypatch.setattr(serve_engine._StackedBatchStrategy, "local_step", spy)
+        monkeypatch.setattr(ConsensusADMM, "local_step", spy)
         engine = ScenarioEngine(max_batch=4, backend="numpy32", precision="fp32")
         reqs = [
-            OPFRequest(request_id=f"s{i}", load_scale=1 + 0.01 * i) for i in range(3)
+            OPFRequest(
+                request_id=f"s{i}",
+                load_scale=1 + 0.01 * i,
+                method=method,
+                options=SolveOptions(max_iter=max_iter),
+            )
+            for i in range(3)
         ]
         responses = engine.serve(reqs)
-        assert all(r.status == "converged" for r in responses)
+        expected = {"converged"} if method == "linearized" else {"converged", "iteration_limit"}
+        assert {r.status for r in responses} <= expected
         assert seen and all(
-            dt == (np.float32, np.float32, np.float32) for dt in seen
+            entry == (3, np.float32, np.float32, np.float32) for entry in seen
         )
 
     def test_modeled_gpu_time_uses_backend_itemsize(self):

@@ -19,6 +19,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.backend import default_backend
 from repro.core import ADMMConfig
 from repro.feeders import ieee13, ieee34
 from repro.methods import (
@@ -31,7 +32,7 @@ from repro.methods import (
     reference_objective,
     solve_reference_socp,
 )
-from repro.serve import OPFRequest, ScenarioEngine
+from repro.serve import OPFRequest, ScenarioEngine, SolveOptions
 from repro.telemetry import MetricsRegistry
 
 
@@ -260,3 +261,29 @@ class TestServeAcrossMethods:
         )
         assert resp[0].status == "converged"
         assert len(fresh.plans) == 3
+
+
+class TestServingBatchOfOne:
+    """A serving batch of one is an ordinary solve: the engine runs the
+    rung's own strategy, so at the same rho / eps / budget it retraces the
+    facade solve of the ladder exactly."""
+
+    @pytest.mark.parametrize("method", list(Method))
+    def test_matches_the_facade_solve(self, ladder13, method):
+        if default_backend().name != "numpy64":
+            pytest.skip("numpy64 pin: a mixed-precision facade solve refines in fp64")
+        spec = METHOD_SPECS[method]
+        engine = ScenarioEngine(max_batch=1, warm_start=False)
+        [resp] = engine.serve([
+            OPFRequest(
+                request_id="one",
+                method=method.value,
+                options=SolveOptions(
+                    rho=spec.rho, eps_rel=spec.eps_rel, max_iter=spec.max_iter
+                ),
+            )
+        ])
+        [report] = [r for r in ladder13 if r.method == method.value]
+        assert resp.status == "converged" and report.converged
+        assert resp.iterations == report.iterations
+        assert resp.objective == report.objective

@@ -265,15 +265,24 @@ class TestScenarioEngine:
         assert by_id["tight"].iterations == 10
         assert by_id["full"].iterations > 10
 
-    def test_stacked_batch_matches_single_solves(self):
+    @pytest.mark.parametrize(
+        "method, max_iter",
+        [("linearized", 20_000), ("qp", 200), ("socp", 1_000)],
+    )
+    def test_stacked_batch_matches_single_solves(self, method, max_iter):
         """Scenarios solved together in one stacked batch follow the same
         iteration trajectory as cold solo solves: identical objectives and
-        iteration counts."""
+        iteration counts, on every rung (qp and socp at capped budgets)."""
         scales = [1.0, 1.05, 1.1]
         batched = ScenarioEngine(max_batch=4)
         single = ScenarioEngine(max_batch=1)
         reqs = lambda: [  # noqa: E731 - tiny local factory
-            OPFRequest(request_id=f"s{i}", load_scale=s)
+            OPFRequest(
+                request_id=f"s{i}",
+                load_scale=s,
+                method=method,
+                options=SolveOptions(max_iter=max_iter),
+            )
             for i, s in enumerate(scales)
         ]
         rb = {r.request_id: r for r in batched.serve(reqs())}
