@@ -34,9 +34,9 @@ Commands
     (see docs/BACKENDS.md).
 ``lint``
     Run the repo's AST-based invariant linter (backend discipline,
-    determinism, precision, telemetry hygiene, exception discipline)
-    against the checked-in baseline (see docs/LINTING.md).  Exit codes:
-    0 clean, 1 findings, 2 configuration error.
+    determinism, precision, telemetry hygiene, exception discipline, and
+    the whole-program rules; see docs/LINTING.md).  Exit codes: 0 clean,
+    1 findings, 2 configuration error.
 
 ``solve`` and ``serve-batch`` accept ``--backend {numpy64,numpy32,cupy}``
 and ``--precision {fp64,fp32,mixed}`` to pick the array-execution layer;
@@ -943,54 +943,18 @@ def cmd_trace_summary(args) -> int:
     return 0
 
 
-DEFAULT_BASELINE = "lint-baseline.json"
-
-
-def _changed_files(base: str) -> set[Path]:
-    """Changed + untracked ``.py`` files per git, for ``--changed``."""
-    import subprocess
-
-    from repro.lint import LintConfigError
-
-    out: set[Path] = set()
-    for cmd in (
-        ["git", "diff", "--name-only", "--diff-filter=d", base],
-        ["git", "ls-files", "--others", "--exclude-standard"],
-    ):
-        try:
-            proc = subprocess.run(
-                cmd, capture_output=True, text=True, check=True
-            )
-        except (OSError, subprocess.CalledProcessError) as exc:
-            detail = getattr(exc, "stderr", "") or str(exc)
-            raise LintConfigError(
-                f"--changed needs a git checkout: {detail.strip()}"
-            ) from exc
-        for line in proc.stdout.splitlines():
-            if line.endswith(".py"):
-                out.add(Path(line))
-    return out
-
-
 def cmd_lint(args) -> int:
     import time
 
     from repro.lint import (
-        DEFAULT_CACHE_PATH,
-        LintCache,
         LintConfigError,
         LintEngine,
-        engine_signature,
         format_github,
         format_json,
-        format_sarif,
         format_stats,
         format_text,
         get_rules,
-        load_baseline,
-        save_baseline,
     )
-    from repro.telemetry import MetricsRegistry
 
     try:
         rules = get_rules(args.rules.split(",") if args.rules else None)
@@ -998,46 +962,14 @@ def cmd_lint(args) -> int:
         print(f"lint: {exc.args[0]}", file=sys.stderr)
         return 2
 
-    baseline_path = args.baseline or DEFAULT_BASELINE
-    baseline: dict = {}
     try:
-        if Path(baseline_path).exists():
-            baseline = load_baseline(baseline_path)
-        elif args.baseline is not None:
-            # An explicitly named baseline must exist; only the default
-            # path is allowed to be absent (fresh checkouts, fixtures).
-            raise LintConfigError(f"baseline {baseline_path} does not exist")
-        engine = LintEngine(rules)
-        cache = None
-        if not args.no_cache:
-            cache = LintCache(
-                args.cache or DEFAULT_CACHE_PATH,
-                engine_signature(engine.rule_ids()),
-            )
-        changed = None
-        if args.changed is not None:
-            changed = _changed_files(args.changed or "HEAD")
-            if not changed:
-                print("lint: no changed python files — nothing to do")
-                return 0
         t0 = time.perf_counter()
-        if args.write_baseline:
-            result = engine.run(args.paths, cache=cache, jobs=args.jobs)
-            save_baseline(baseline_path, result.findings)
-            print(
-                f"lint: baseline with {len(result.findings)} entries "
-                f"written to {baseline_path}"
-            )
-            return 0
-        result = engine.run(
-            args.paths, baseline, cache=cache, jobs=args.jobs, changed=changed
-        )
+        result = LintEngine(rules).run(args.paths)
         t1 = time.perf_counter()
     except LintConfigError as exc:
         print(f"lint: {exc}", file=sys.stderr)
         return 2
 
-    result.record_metrics(MetricsRegistry())
     if args.trace:
         tracer = Tracer()
         tracer.add_complete(
@@ -1047,7 +979,6 @@ def cmd_lint(args) -> int:
             cat="lint",
             args={
                 "lint_findings": len(result.findings),
-                "lint_baselined": len(result.baselined),
                 "lint_files": result.files,
             },
         )
@@ -1059,11 +990,9 @@ def cmd_lint(args) -> int:
         print(format_json(result))
     elif args.format == "github":
         print(format_github(result))
-    elif args.format == "sarif":
-        print(format_sarif(result))
     else:
-        print(format_text(result, verbose=args.verbose))
-    return 0 if result.clean and not result.stale_baseline else 1
+        print(format_text(result))
+    return 0 if result.clean else 1
 
 
 def _add_backend_flags(p: argparse.ArgumentParser) -> None:
@@ -1401,54 +1330,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--format",
-        choices=["text", "json", "github", "sarif"],
+        choices=["text", "json", "github"],
         default="text",
-        help="output format (github emits workflow annotations; sarif is "
-        "the 2.1.0 code-scanning schema)",
-    )
-    p.add_argument(
-        "--changed",
-        nargs="?",
-        const="HEAD",
-        metavar="BASE",
-        help="scope per-file findings to files changed vs BASE (default "
-        "HEAD) plus untracked files; whole-program findings still report",
-    )
-    p.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="analyze files in N parallel processes (default: 1)",
-    )
-    p.add_argument(
-        "--cache",
-        metavar="FILE",
-        help="incremental analysis cache path (default: .repro-lint-cache.json)",
-    )
-    p.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the incremental cache (cold run, nothing written)",
-    )
-    p.add_argument(
-        "--baseline",
-        metavar="FILE",
-        help=f"baseline of grandfathered findings (default: {DEFAULT_BASELINE} "
-        "if present; an explicitly given file must exist)",
-    )
-    p.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="capture the current findings as the new baseline and exit 0",
+        help="output format (github emits workflow annotations)",
     )
     p.add_argument(
         "--stats",
         action="store_true",
-        help="print per-rule / per-package counts (baseline included)",
-    )
-    p.add_argument(
-        "--verbose", action="store_true", help="also list baselined findings"
+        help="print per-rule / per-package counts, graph shape and timings",
     )
     p.add_argument(
         "--trace",

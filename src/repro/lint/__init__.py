@@ -10,8 +10,9 @@ in a diff (see docs/LINTING.md for the catalog and fix recipes):
   paths; failover replay stays bit-identical.
 * **R003 precision-discipline** — float dtypes come from
   ``PrecisionPolicy``, never hard-coded literals.
-* **R004 telemetry-hygiene** — spans are context-managed; metric names
-  match the registered namespace convention.
+* **R004 telemetry-hygiene** — spans are context-managed; literal metric
+  names are lowercase dotted, in a namespace of
+  :data:`repro.telemetry.names.METRIC_NAMES`.
 * **R005 exception-discipline** — no bare ``except:`` / swallowed broad
   handlers around solver control flow.
 
@@ -33,21 +34,16 @@ cross-module rules against it:
   a handler comparison on the other side of the process boundary, and
   vice versa.
 
-Run it with ``repro lint``; grandfathered findings live in
-``lint-baseline.json`` and ratchet downward.  Warm runs are incremental
-(:class:`~repro.lint.cache.LintCache`, content-hashed) and ``--format
-sarif`` emits GitHub-code-scanning-ready output.
+Run it with ``repro lint``: every call is one cold run of both phases
+over the given paths (``src`` by default), and any finding fails it.
 """
 
-from repro.lint.baseline import load_baseline, save_baseline
-from repro.lint.cache import DEFAULT_CACHE_PATH, LintCache, engine_signature
 from repro.lint.engine import (
     FileAnalysis,
     Finding,
     LintConfigError,
     LintEngine,
     LintResult,
-    fingerprint,
     scope_path,
 )
 from repro.lint.graph import ModuleInfo, ProjectGraph, extract_module
@@ -65,7 +61,6 @@ from repro.lint.rules import (
     get_rules,
     register,
 )
-from repro.lint.sarif import format_sarif, sarif_log
 
 __all__ = [
     "FileAnalysis",
@@ -82,17 +77,9 @@ __all__ = [
     "get_rules",
     "register",
     "extract_module",
-    "fingerprint",
     "scope_path",
-    "load_baseline",
-    "save_baseline",
-    "DEFAULT_CACHE_PATH",
-    "LintCache",
-    "engine_signature",
     "format_text",
     "format_json",
     "format_github",
     "format_stats",
-    "format_sarif",
-    "sarif_log",
 ]

@@ -1,17 +1,14 @@
-"""The lint engine: discovery, two-phase analysis, pragmas, fingerprints.
+"""The lint engine: discovery, two-phase analysis, pragmas.
 
-The engine runs in two phases.  **Phase one** walks ``.py`` files,
-parses each once with :mod:`ast`, runs every in-scope *per-file* rule
-over the tree, and extracts the file's :class:`~repro.lint.graph.
+Every run is cold and has two phases.  **Phase one** walks ``.py``
+files, parses each once with :mod:`ast`, runs every in-scope *per-file*
+rule over the tree, and extracts the file's :class:`~repro.lint.graph.
 ModuleInfo` summary.  **Phase two** assembles the summaries into a
 :class:`~repro.lint.graph.ProjectGraph` and runs the *whole-program*
 rules (R100+) against it, attributing each finding back to a file so
-the downstream machinery is shared.  Phase one is incremental (content
-hashes via :class:`~repro.lint.cache.LintCache`) and optionally
-parallel; phase two always recomputes — it is cheap, and recomputing is
-what keeps cross-module findings fresh when a *different* file changed.
+the downstream machinery is shared.
 
-Three layers filter the raw rule output before anything reaches the
+Two layers filter the raw rule output before anything reaches the
 report:
 
 * **Suppressions** — ``# repro-lint: disable=R001`` on the offending
@@ -19,11 +16,6 @@ report:
   file.  Suppressed findings vanish; a suppression that never fires is
   itself reported (rule ``R000``), so stale pragmas can't accumulate.
   Project-rule findings honour the same pragmas.
-* **Baseline** — grandfathered findings matched by *content fingerprint*
-  (rule + path + stripped source line + occurrence index, so the match
-  survives unrelated line drift).  Baselined findings are kept on the
-  result but do not fail the run; baseline entries that no longer match
-  anything are reported as stale so the file ratchets downward.
 * **Scope** — each rule's path prefixes, matched against the module's
   path *relative to the* ``repro`` *package* (``core/residuals.py``),
   so the same rules work on fixture trees in tests.
@@ -32,7 +24,6 @@ report:
 from __future__ import annotations
 
 import ast
-import hashlib
 import io
 import re
 import time
@@ -41,7 +32,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.lint.graph import ModuleInfo, ProjectGraph, extract_module
-from repro.lint.rules import ProjectRule, Rule, all_rules, get_rules
+from repro.lint.rules import ProjectRule, Rule, all_rules
 
 # Suppression pragma syntax; matched against COMMENT tokens only, so a
 # docstring *describing* the syntax never counts as a suppression.
@@ -55,8 +46,8 @@ _SKIP_DIRS = frozenset({"__pycache__", ".git", ".ruff_cache", ".pytest_cache"})
 
 
 class LintConfigError(Exception):
-    """A problem with the lint invocation itself (bad rule id, unreadable
-    baseline, unparseable source) — the CLI maps this to exit code 2 so CI
+    """A problem with the lint invocation itself (bad rule id, missing
+    path, unparseable source) — the CLI maps this to exit code 2 so CI
     can tell 'misconfigured' from 'found problems'."""
 
 
@@ -70,33 +61,16 @@ class Finding:
     line: int
     col: int
     message: str
-    fingerprint: str
-
-    def to_dict(self) -> dict:
-        return {
-            "rule": self.rule,
-            "severity": self.severity,
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "message": self.message,
-            "fingerprint": self.fingerprint,
-        }
 
 
 @dataclass
 class LintResult:
-    """Everything one lint run produced, pre-partitioned for reporting."""
+    """Everything one lint run produced."""
 
-    findings: list[Finding] = field(default_factory=list)  #: new (failing)
-    baselined: list[Finding] = field(default_factory=list)  #: grandfathered
-    stale_baseline: list[str] = field(default_factory=list)  #: dead entries
+    findings: list[Finding] = field(default_factory=list)
     files: int = 0
     suppressed: int = 0
     rules: list[Rule] = field(default_factory=list)
-    #: incremental-cache accounting (zeros when run without a cache)
-    cache_hits: int = 0
-    cache_misses: int = 0
     #: graph-pass shape (zeros when no project rules ran)
     graph_modules: int = 0
     graph_edges: int = 0
@@ -113,31 +87,15 @@ class LintResult:
             counts[f.rule] = counts.get(f.rule, 0) + 1
         return counts
 
-    def record_metrics(self, registry) -> None:
-        """Mirror the run into a :class:`~repro.telemetry.MetricsRegistry`."""
-        registry.counter("lint.files").inc(self.files)
-        registry.counter("lint.findings").inc(len(self.findings))
-        registry.counter("lint.baselined").inc(len(self.baselined))
-        registry.counter("lint.suppressed").inc(self.suppressed)
-        registry.counter("lint.cache_hits").inc(self.cache_hits)
-
 
 class _Suppressions:
-    """Per-file pragma state with fired/unfired tracking.
+    """Per-file pragma state with fired/unfired tracking."""
 
-    Serializable (:meth:`to_dict`/:meth:`from_dict`) so cached files
-    keep honouring — and reporting unused — pragmas without re-reading
-    source.  The cached ``used`` set holds phase-one firings only;
-    phase-two (project-rule) firings are re-applied every run.
-    """
-
-    def __init__(self, source: str | None = None):
+    def __init__(self, source: str):
         self.line_rules: dict[int, set[str]] = {}
         self.file_rules: set[str] = set()
         self._pragma_line: dict[str, int] = {}  # file-level rule -> decl line
         self.used: set[tuple[int, str]] = set()  # (0, rule) == file-level
-        if source is None:
-            return
         try:
             comments = [
                 (tok.start[0], tok.string)
@@ -184,35 +142,6 @@ class _Suppressions:
         )
         return out
 
-    def to_dict(self) -> dict:
-        return {
-            "line_rules": {
-                str(line): sorted(rules) for line, rules in self.line_rules.items()
-            },
-            "file_rules": sorted(self.file_rules),
-            "pragma_line": dict(self._pragma_line),
-            "used": sorted([list(pair) for pair in self.used]),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "_Suppressions":
-        sup = cls()
-        sup.line_rules = {
-            int(line): set(rules) for line, rules in d.get("line_rules", {}).items()
-        }
-        sup.file_rules = set(d.get("file_rules", []))
-        sup._pragma_line = {
-            rule: int(line) for rule, line in d.get("pragma_line", {}).items()
-        }
-        sup.used = {(int(line), rule) for line, rule in d.get("used", [])}
-        return sup
-
-
-def fingerprint(rule: str, path: str, source_line: str, occurrence: int) -> str:
-    """Content-based finding identity, stable across unrelated line drift."""
-    key = f"{rule}|{path}|{source_line.strip()}|{occurrence}"
-    return hashlib.sha1(key.encode()).hexdigest()[:16]
-
 
 def discover(paths: list[str]) -> list[tuple[Path, Path]]:
     """``(file, root)`` for every ``.py`` file under ``paths``, sorted.
@@ -253,73 +182,32 @@ def scope_path(path: Path, root: Path | None = None) -> str:
 
 @dataclass
 class FileAnalysis:
-    """Phase-one output for one file: findings, pragma state, summary.
-
-    This is the cache unit — everything phase two and the report need
-    without re-reading the file (source lines are re-read lazily only to
-    fingerprint a project finding, which requires the file unchanged and
-    is therefore safe on a cache hit).
-    """
+    """Phase-one output for one file: everything phase two and the report
+    need (findings, pragma state, summary)."""
 
     display: str  #: path as discovered (posix)
     rel: str  #: scope path
-    sha: str  #: content hash
     findings: list[Finding]  #: per-file rule findings (no R000 yet)
     suppressed: int
     module: ModuleInfo
     sup: _Suppressions
 
-    def to_cache_entry(self) -> dict:
-        return {
-            "sha": self.sha,
-            "rel": self.rel,
-            "findings": [f.to_dict() for f in self.findings],
-            "suppressed": self.suppressed,
-            "module": self.module.to_dict(),
-            "sup": self.sup.to_dict(),
-        }
-
-    @classmethod
-    def from_cache_entry(cls, display: str, entry: dict) -> "FileAnalysis":
-        return cls(
-            display=display,
-            rel=entry["rel"],
-            sha=entry["sha"],
-            findings=[Finding(**f) for f in entry["findings"]],
-            suppressed=entry["suppressed"],
-            module=ModuleInfo.from_dict(entry["module"]),
-            sup=_Suppressions.from_dict(entry["sup"]),
-        )
-
-
-def _analyze_file_worker(args: tuple[str, str, list[str] | None]) -> FileAnalysis:
-    """Module-level phase-one worker so parallel analysis pickles."""
-    path_str, root_str, rule_ids = args
-    engine = LintEngine(get_rules(rule_ids) if rule_ids is not None else None)
-    return engine.analyze_file(Path(path_str), Path(root_str))
-
 
 class LintEngine:
-    """Run a rule set over a file list and partition the output."""
+    """Run a rule set over a file list."""
 
     def __init__(self, rules: list[Rule] | None = None):
         self.rules = rules if rules is not None else all_rules()
         self.file_rules = [r for r in self.rules if not isinstance(r, ProjectRule)]
         self.project_rules = [r for r in self.rules if isinstance(r, ProjectRule)]
 
-    def rule_ids(self) -> list[str]:
-        return sorted(r.id for r in self.rules)
-
     # ------------------------------------------------------------------
     # phase one
     # ------------------------------------------------------------------
-    def analyze_file(
-        self, path: Path, root: Path | None = None, source: str | None = None
-    ) -> FileAnalysis:
+    def analyze_file(self, path: Path, root: Path | None = None) -> FileAnalysis:
         """Parse one file, run the per-file rules, extract the summary."""
         try:
-            if source is None:
-                source = path.read_text()
+            source = path.read_text()
             tree = ast.parse(source, filename=str(path))
         except (OSError, SyntaxError) as exc:
             raise LintConfigError(f"cannot lint {path}: {exc}") from exc
@@ -329,7 +217,6 @@ class LintEngine:
         sup = _Suppressions(source)
         findings: list[Finding] = []
         suppressed = 0
-        occurrences: dict[tuple[str, str], int] = {}
         for rule in self.file_rules:
             if not rule.applies(rel):
                 continue
@@ -337,10 +224,6 @@ class LintEngine:
                 if sup.suppresses(line, rule.id):
                     suppressed += 1
                     continue
-                text = lines[line - 1] if 0 < line <= len(lines) else ""
-                occ_key = (rule.id, text.strip())
-                occ = occurrences.get(occ_key, 0)
-                occurrences[occ_key] = occ + 1
                 findings.append(
                     Finding(
                         rule=rule.id,
@@ -349,36 +232,25 @@ class LintEngine:
                         line=line,
                         col=col,
                         message=message,
-                        # Fingerprints hash the *package-relative* path so
-                        # the baseline matches however the linter is
-                        # invoked (repo root, absolute paths, CI).
-                        fingerprint=fingerprint(rule.id, rel, text, occ),
                     )
                 )
         return FileAnalysis(
             display=display,
             rel=rel,
-            sha=hashlib.sha256(source.encode()).hexdigest()[:24],
             findings=findings,
             suppressed=suppressed,
             module=extract_module(tree, rel, source),
             sup=sup,
         )
 
-    def _unused_pragma_findings(
-        self, analysis: FileAnalysis, lines: list[str]
-    ) -> list[Finding]:
+    def _unused_pragma_findings(self, analysis: FileAnalysis) -> list[Finding]:
         # A pragma can only be "unused" if its rule actually ran — a
         # `--rules R103` pass must not flag every R001 suppression.
         selected = {r.id for r in self.rules}
         findings = []
-        occurrences: dict[str, int] = {}
         for line, rule_id in analysis.sup.unused():
             if rule_id not in selected:
                 continue
-            text = lines[line - 1] if 0 < line <= len(lines) else ""
-            occ = occurrences.get(text.strip(), 0)
-            occurrences[text.strip()] = occ + 1
             findings.append(
                 Finding(
                     rule="R000",
@@ -390,7 +262,6 @@ class LintEngine:
                         f"unused suppression: {rule_id} never fires here — "
                         "remove the pragma"
                     ),
-                    fingerprint=fingerprint("R000", analysis.rel, text, occ),
                 )
             )
         return findings
@@ -405,8 +276,7 @@ class LintEngine:
         represented here.
         """
         analysis = self.analyze_file(path, root)
-        lines = path.read_text().splitlines()
-        findings = analysis.findings + self._unused_pragma_findings(analysis, lines)
+        findings = analysis.findings + self._unused_pragma_findings(analysis)
         findings.sort(key=lambda f: (f.line, f.col, f.rule))
         return findings, analysis.suppressed
 
@@ -418,24 +288,12 @@ class LintEngine:
     ) -> dict[str, list[Finding]]:
         """Run the whole-program rules; findings grouped by display path."""
         by_rel = {a.rel: a for a in analyses}
-        lines_memo: dict[str, list[str]] = {}
-
-        def lines_for(analysis: FileAnalysis) -> list[str]:
-            if analysis.display not in lines_memo:
-                try:
-                    text = Path(analysis.display).read_text()
-                except OSError:
-                    text = ""
-                lines_memo[analysis.display] = text.splitlines()
-            return lines_memo[analysis.display]
-
         t0 = time.perf_counter()
         graph = ProjectGraph([a.module for a in analyses])
         result.graph_modules = len(graph.modules)
         result.graph_edges = len(graph.import_edges())
         t1 = time.perf_counter()
         out: dict[str, list[Finding]] = {}
-        occurrences: dict[tuple[str, str, str], int] = {}
         for rule in self.project_rules:
             for rel, line, col, message in rule.check_project(graph):
                 analysis = by_rel.get(rel)
@@ -444,11 +302,6 @@ class LintEngine:
                 if analysis.sup.suppresses(line, rule.id):
                     result.suppressed += 1
                     continue
-                lines = lines_for(analysis)
-                text = lines[line - 1] if 0 < line <= len(lines) else ""
-                occ_key = (rule.id, rel, text.strip())
-                occ = occurrences.get(occ_key, 0)
-                occurrences[occ_key] = occ + 1
                 out.setdefault(analysis.display, []).append(
                     Finding(
                         rule=rule.id,
@@ -457,7 +310,6 @@ class LintEngine:
                         line=line,
                         col=col,
                         message=message,
-                        fingerprint=fingerprint(rule.id, rel, text, occ),
                     )
                 )
         t2 = time.perf_counter()
@@ -468,74 +320,13 @@ class LintEngine:
     # ------------------------------------------------------------------
     # the full run
     # ------------------------------------------------------------------
-    def run(
-        self,
-        paths: list[str],
-        baseline: dict[str, dict] | None = None,
-        *,
-        cache=None,
-        jobs: int = 1,
-        changed: set[Path] | None = None,
-    ) -> LintResult:
-        """Lint every file under ``paths`` against ``baseline``.
-
-        ``cache`` is a :class:`~repro.lint.cache.LintCache` (or ``None``
-        for a cold run); ``jobs`` > 1 analyzes changed files in parallel
-        processes; ``changed`` restricts *per-file* findings to the given
-        resolved paths (``--changed``) — whole-program findings are
-        always reported, because their cause may live in a changed file
-        even when their location does not.  Stale-baseline detection is
-        skipped in changed mode (the scoped view cannot prove an entry
-        dead).
-        """
+    def run(self, paths: list[str]) -> LintResult:
+        """Lint every file under ``paths``: both phases, from cold."""
         t_start = time.perf_counter()
         result = LintResult(rules=list(self.rules))
-        discovered = discover(paths)
-
-        analyses: list[FileAnalysis] = []
-        to_analyze: list[tuple[Path, Path, str]] = []  # (path, root, source)
-        for path, root in discovered:
-            if cache is not None:
-                try:
-                    source = path.read_text()
-                except OSError as exc:
-                    raise LintConfigError(f"cannot lint {path}: {exc}") from exc
-                sha = hashlib.sha256(source.encode()).hexdigest()[:24]
-                entry = cache.get(path.as_posix(), sha)
-                if entry is not None:
-                    analysis = FileAnalysis.from_cache_entry(path.as_posix(), entry)
-                    analyses.append(analysis)
-                    cache.put(path.as_posix(), entry)
-                    continue
-                to_analyze.append((path, root, source))
-            else:
-                to_analyze.append((path, root, None))
-
-        if jobs > 1 and len(to_analyze) > 1:
-            from concurrent.futures import ProcessPoolExecutor
-
-            ids = self.rule_ids()
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                fresh = list(
-                    pool.map(
-                        _analyze_file_worker,
-                        [(str(p), str(r), ids) for p, r, _ in to_analyze],
-                        chunksize=8,
-                    )
-                )
-        else:
-            fresh = [
-                self.analyze_file(p, r, source=src) for p, r, src in to_analyze
-            ]
-        for analysis in fresh:
-            analyses.append(analysis)
-            if cache is not None:
-                cache.put(analysis.display, analysis.to_cache_entry())
+        analyses = [self.analyze_file(path, root) for path, root in discover(paths)]
         analyses.sort(key=lambda a: a.display)
         result.files = len(analyses)
-        if cache is not None:
-            result.cache_hits = cache.hits
-            result.cache_misses = cache.misses
         result.timings["file_pass"] = time.perf_counter() - t_start
 
         # Phase two: the whole-program pass (skipped when no project rule
@@ -544,37 +335,14 @@ class LintEngine:
         if self.project_rules:
             project_by_file = self._project_findings(analyses, result)
 
-        changed_resolved = (
-            {p.resolve() for p in changed} if changed is not None else None
-        )
-        matched: set[str] = set()
-        baseline = baseline or {}
         for analysis in analyses:
-            in_scope = (
-                changed_resolved is None
-                or Path(analysis.display).resolve() in changed_resolved
+            file_findings = (
+                project_by_file.get(analysis.display, [])
+                + analysis.findings
+                + self._unused_pragma_findings(analysis)
             )
-            file_findings = list(project_by_file.get(analysis.display, []))
-            if in_scope:
-                file_findings.extend(analysis.findings)
-                result.suppressed += analysis.suppressed
-                try:
-                    lines = Path(analysis.display).read_text().splitlines()
-                except OSError:
-                    lines = []
-                file_findings.extend(
-                    self._unused_pragma_findings(analysis, lines)
-                )
+            result.suppressed += analysis.suppressed
             file_findings.sort(key=lambda f: (f.line, f.col, f.rule))
-            for f in file_findings:
-                if f.fingerprint in baseline:
-                    matched.add(f.fingerprint)
-                    result.baselined.append(f)
-                else:
-                    result.findings.append(f)
-        if changed_resolved is None:
-            result.stale_baseline = sorted(set(baseline) - matched)
-        if cache is not None:
-            cache.save()
+            result.findings.extend(file_findings)
         result.timings["total"] = time.perf_counter() - t_start
         return result

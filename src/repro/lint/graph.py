@@ -5,16 +5,11 @@ exactly why they cannot catch the bug classes that bit recent PRs: a
 request field that affects the solve but never enters a cache digest, a
 core module quietly importing serving code, a worker-protocol verb
 handled on one side of the pickle boundary only.  This module extracts a
-*serializable* summary of every file — imports, dataclass fields,
+flat summary of every file — imports, dataclass fields,
 ``self.x`` usage per method, string-literal call sites, module-level
 string constants and name-set registries — and assembles the summaries
 into one :class:`ProjectGraph` that the cross-module rules (R100–R103)
 query.
-
-Extraction is deliberately flat data (dataclasses of str/int/bool) so
-summaries round-trip through the incremental cache as JSON: an unchanged
-file contributes its cached :class:`ModuleInfo` to the graph without
-being re-parsed, which is where the warm-run speedup comes from.
 
 Dotted module names are derived from the path *relative to the*
 ``repro`` *package* (``serve/requests.py`` → ``repro.serve.requests``),
@@ -28,7 +23,9 @@ import ast
 import io
 import re
 import tokenize
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
+
+import networkx as nx
 
 #: Pragma marking a request field as deliberately absent from the cache
 #: digests (R101).  The reason is mandatory: ``# repro-lint:
@@ -38,9 +35,8 @@ NON_KEYING_RE = re.compile(
 )
 
 #: Attribute-call names whose literal first argument enters the
-#: string-literal registry.  Bounded so the registry (and the cache
-#: entries carrying it) stays small: these are the telemetry emission
-#: points R102 cross-checks.
+#: string-literal registry: the telemetry emission points R102
+#: cross-checks.
 TRACKED_CALL_ATTRS = frozenset(
     {"counter", "gauge", "histogram", "span", "add_complete", "add_modeled"}
 )
@@ -148,39 +144,6 @@ class ModuleInfo:
     def package(self) -> str:
         """Top-level package of the module (``""`` for root files)."""
         return self.rel.split("/", 1)[0] if "/" in self.rel else ""
-
-    # -- serialization (incremental cache) ---------------------------------
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModuleInfo":
-        return cls(
-            rel=d["rel"],
-            module=d["module"],
-            imports=[ImportEdge(**e) for e in d.get("imports", [])],
-            classes={
-                name: ClassInfo(
-                    name=c["name"],
-                    line=c["line"],
-                    is_dataclass=c["is_dataclass"],
-                    fields=[FieldInfo(**f) for f in c.get("fields", [])],
-                    methods={
-                        m: MethodInfo(**mi) for m, mi in c.get("methods", {}).items()
-                    },
-                )
-                for name, c in d.get("classes", {}).items()
-            },
-            call_literals=[CallLiteral(**l) for l in d.get("call_literals", [])],
-            constants={
-                name: StrConstant(**c) for name, c in d.get("constants", {}).items()
-            },
-            string_sets={
-                name: [tuple(pair) for pair in pairs]
-                for name, pairs in d.get("string_sets", {}).items()
-            },
-            name_uses=[NameUse(**u) for u in d.get("name_uses", [])],
-        )
 
 
 def module_name(rel: str) -> str:
@@ -467,9 +430,14 @@ class ProjectGraph:
         return out
 
     def import_cycles(self) -> list[list[str]]:
-        """Module-level import cycles over *eager* edges only (a lazy
-        import never participates in an import-time cycle), as sorted
-        lists of dotted names, deterministically ordered.
+        """Import cycles over *eager* edges only (a lazy import never
+        participates in an import-time cycle): one per strongly connected
+        component, deterministically ordered.
+
+        Each cycle is the module path of an actual import chain: it starts
+        at the smallest module of its component and takes the shortest way
+        back to it from that module's smallest in-component import, so
+        every consecutive pair (and last → first) is an edge.
 
         A package ``__init__`` importing its *own* submodules is the
         re-export / plugin-registry idiom (Python resolves the apparent
@@ -478,58 +446,23 @@ class ProjectGraph:
         before importing it); those parent→child edges are excluded
         here, though they still count for layering.
         """
-        adj: dict[str, set[str]] = {m.module: set() for m in self.modules}
-        for src, dst, _, lazy in self.import_edges():
-            if not lazy and not dst.startswith(src + "."):
-                adj[src].add(dst)
-        # Tarjan's strongly-connected components, iterative.
-        index: dict[str, int] = {}
-        low: dict[str, int] = {}
-        on_stack: set[str] = set()
-        stack: list[str] = []
-        cycles: list[list[str]] = []
-        counter = [0]
-
-        def strongconnect(root: str) -> None:
-            work = [(root, iter(sorted(adj[root])))]
-            index[root] = low[root] = counter[0]
-            counter[0] += 1
-            stack.append(root)
-            on_stack.add(root)
-            while work:
-                node, it = work[-1]
-                advanced = False
-                for nxt in it:
-                    if nxt not in index:
-                        index[nxt] = low[nxt] = counter[0]
-                        counter[0] += 1
-                        stack.append(nxt)
-                        on_stack.add(nxt)
-                        work.append((nxt, iter(sorted(adj[nxt]))))
-                        advanced = True
-                        break
-                    if nxt in on_stack:
-                        low[node] = min(low[node], index[nxt])
-                if advanced:
-                    continue
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    low[parent] = min(low[parent], low[node])
-                if low[node] == index[node]:
-                    scc = []
-                    while True:
-                        member = stack.pop()
-                        on_stack.discard(member)
-                        scc.append(member)
-                        if member == node:
-                            break
-                    if len(scc) > 1 or node in adj[node]:
-                        cycles.append(sorted(scc))
-
-        for mod in sorted(adj):
-            if mod not in index:
-                strongconnect(mod)
+        graph = nx.DiGraph()
+        graph.add_nodes_from(sorted(self.by_module))
+        graph.add_edges_from(
+            sorted(
+                (src, dst)
+                for src, dst, _, lazy in self.import_edges()
+                if not lazy and not dst.startswith(src + ".")
+            )
+        )
+        cycles = []
+        for component in nx.strongly_connected_components(graph):
+            if len(component) < 2:
+                continue
+            sub = graph.subgraph(component)
+            first = min(component)
+            back = nx.shortest_path(sub, min(sub.successors(first)), first)
+            cycles.append([first] + back[:-1])
         return sorted(cycles)
 
     # -- cross-module lookups ---------------------------------------------

@@ -11,27 +11,18 @@ from __future__ import annotations
 
 import json
 from collections import Counter
+from dataclasses import asdict
 
 from repro.lint.engine import Finding, LintResult
 
-JSON_SCHEMA_VERSION = 1
+JSON_SCHEMA_VERSION = 2
 
 
-def format_text(result: LintResult, verbose: bool = False) -> str:
+def format_text(result: LintResult) -> str:
     """Human-readable report: one line per finding plus a summary."""
     out = []
     for f in result.findings:
         out.append(f"{f.path}:{f.line}:{f.col + 1}: {f.rule} [{f.severity}] {f.message}")
-    if verbose and result.baselined:
-        out.append("")
-        out.append(f"baselined ({len(result.baselined)} grandfathered):")
-        for f in result.baselined:
-            out.append(f"  {f.path}:{f.line}: {f.rule} {f.message}")
-    for fp in result.stale_baseline:
-        out.append(
-            f"stale baseline entry {fp}: the finding it grandfathered is gone "
-            "— regenerate with --write-baseline"
-        )
     out.append("")
     out.append(summary_line(result))
     return "\n".join(out)
@@ -41,12 +32,9 @@ def summary_line(result: LintResult) -> str:
     parts = [
         f"{result.files} files",
         f"{len(result.findings)} findings",
-        f"{len(result.baselined)} baselined",
         f"{result.suppressed} suppressed",
     ]
-    if result.stale_baseline:
-        parts.append(f"{len(result.stale_baseline)} stale baseline entries")
-    status = "clean" if result.clean and not result.stale_baseline else "FAIL"
+    status = "clean" if result.clean else "FAIL"
     return f"lint: {', '.join(parts)} — {status}"
 
 
@@ -57,15 +45,11 @@ def format_json(result: LintResult) -> str:
         "summary": {
             "files": result.files,
             "findings": len(result.findings),
-            "baselined": len(result.baselined),
             "suppressed": result.suppressed,
-            "stale_baseline": len(result.stale_baseline),
-            "clean": result.clean and not result.stale_baseline,
+            "clean": result.clean,
             "by_rule": result.by_rule(),
         },
-        "findings": [f.to_dict() for f in result.findings],
-        "baselined": [f.to_dict() for f in result.baselined],
-        "stale_baseline": list(result.stale_baseline),
+        "findings": [asdict(f) for f in result.findings],
         "rules": [r.describe() for r in result.rules],
     }
     return json.dumps(doc, indent=2)
@@ -81,11 +65,6 @@ def format_github(result: LintResult) -> str:
         out.append(
             f"::{level} file={f.path},line={f.line},col={f.col + 1}::{message}"
         )
-    for fp in result.stale_baseline:
-        out.append(
-            f"::warning::stale lint baseline entry {fp} — regenerate with "
-            "`repro lint --write-baseline`"
-        )
     out.append(summary_line(result))
     return "\n".join(out)
 
@@ -99,24 +78,16 @@ def _package(f: Finding) -> str:
 
 
 def format_stats(result: LintResult) -> str:
-    """Aggregate view: counts per rule and per package, baseline included.
-
-    Baselined findings count here — the point of ``--stats`` is to see
-    where the debt lives, not only what is newly failing.
-    """
-    everything = result.findings + result.baselined
+    """Aggregate view: counts per rule and per package, graph shape and
+    phase timings."""
     rule_meta = {r.id: r for r in result.rules}
-    by_rule = Counter(f.rule for f in everything)
-    new_by_rule = Counter(f.rule for f in result.findings)
+    by_rule = Counter(f.rule for f in result.findings)
     out = ["per rule:"]
     for rid in sorted(set(by_rule) | set(rule_meta)):
         meta = rule_meta.get(rid)
         label = f"{rid} {meta.name}" if meta else rid
-        out.append(
-            f"  {label:32s} {by_rule.get(rid, 0):4d} total"
-            f"  ({new_by_rule.get(rid, 0)} new)"
-        )
-    by_pkg = Counter(_package(f) for f in everything)
+        out.append(f"  {label:32s} {by_rule.get(rid, 0):4d}")
+    by_pkg = Counter(_package(f) for f in result.findings)
     out.append("per package:")
     for pkg, count in sorted(by_pkg.items(), key=lambda kv: (-kv[1], kv[0])):
         out.append(f"  {pkg:32s} {count:4d}")
@@ -131,12 +102,6 @@ def format_stats(result: LintResult) -> str:
         for key in ("file_pass", "graph_build", "graph_rules", "total"):
             if key in result.timings:
                 out.append(f"  {key:12s} {result.timings[key] * 1000:8.1f} ms")
-    if result.cache_hits or result.cache_misses:
-        total = result.cache_hits + result.cache_misses
-        out.append(
-            f"cache: {result.cache_hits}/{total} hits "
-            f"({result.cache_misses} analyzed fresh)"
-        )
     out.append("")
     out.append(summary_line(result))
     return "\n".join(out)

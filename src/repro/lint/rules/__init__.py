@@ -63,7 +63,7 @@ class ProjectRule(Rule):
 
     Subclasses implement :meth:`check_project`, yielding ``(relpath,
     line, col, message)`` — the engine attributes each finding back to
-    its file so suppression pragmas and baselining work unchanged.
+    its file so suppression pragmas work unchanged.
     ``scope`` filters which files a project rule's findings may land in
     (the analysis itself always sees the whole graph).
     """

@@ -10,13 +10,12 @@ Two failure modes this rule gates:
 * Metric names are the query surface of every dashboard and trace
   summary.  The registry's convention is lowercase dotted paths,
   ``<namespace>.<quantity>[_<unit>]`` (``serve.latency_s``,
-  ``rank.failover``), with a small registered namespace set — a typo'd
-  ``Serve.Latency`` or an unregistered namespace silently forks the
-  metric space.
+  ``rank.failover``), with the namespaces of the registered metrics in
+  :mod:`repro.telemetry.names` — a typo'd ``Serve.Latency`` or an
+  unregistered namespace silently forks the metric space.
 
 Only *literal* names are checked; dynamically built names (the
-``PhaseTimer`` prefix f-strings) are assumed to be derived from an
-already-vetted literal.
+``PhaseTimer`` prefix f-strings) are skipped.
 """
 
 from __future__ import annotations
@@ -25,20 +24,11 @@ import ast
 import re
 
 from repro.lint.rules import Rule, register
+from repro.telemetry.names import METRIC_NAMES
 
-#: Registered metric/span namespaces (first dotted segment).
-NAMESPACES = frozenset(
-    {
-        "admm", "serve", "solve", "breaker", "fault", "rank",
-        "resilience", "cluster", "comm", "gpu", "queue", "lint",
-        # The multi-worker serving plane (docs/SERVING.md, fleet section).
-        "fleet",
-        # Two-stage stochastic / multi-period workloads (docs/STOCHASTIC.md).
-        "stochastic",
-        # The fidelity-ladder facade (docs/METHODS.md).
-        "methods",
-    }
-)
+#: Registered metric namespaces: the first dotted segment of every
+#: registered metric name.
+NAMESPACES = frozenset(name.split(".", 1)[0] for name in METRIC_NAMES)
 
 #: Metric names: lowercase snake segments, at least one dot.
 METRIC_NAME_RE = re.compile(r"^[a-z][a-z0-9_]*(\.[a-z0-9_]+)+$")
@@ -128,7 +118,7 @@ class TelemetryHygiene(Rule):
                         node.col_offset,
                         f"metric namespace {name.split('.', 1)[0]!r} is not "
                         "registered (known: "
-                        f"{', '.join(sorted(NAMESPACES))}) — add it to "
-                        "repro.lint.rules.telemetry_hygiene.NAMESPACES "
+                        f"{', '.join(sorted(NAMESPACES))}) — register a "
+                        "metric under it in repro/telemetry/names.py "
                         "deliberately if it is new",
                     )

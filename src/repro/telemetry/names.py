@@ -9,9 +9,13 @@ registered-but-never-emitted name fails lint (so this file describes
 exactly what the running system produces — it is the dashboard/alerting
 source of truth, not an aspiration).
 
-Names built dynamically (f-strings) are invisible to R102; their
-prefixes are listed in :data:`DYNAMIC_METRIC_PREFIXES` for documentation
-and their namespace tokens are still vetted per file by rule R004.
+Rule **R004** takes its metric namespaces from this file: a literal
+metric name passes only if its first dotted segment is the namespace of
+some name in :data:`METRIC_NAMES`.
+
+Names built dynamically (f-strings) are invisible to R102 and skipped by
+R004; their prefixes are listed in :data:`DYNAMIC_METRIC_PREFIXES` for
+documentation.
 
 Grouped by namespace; keep each group sorted.
 """
@@ -48,12 +52,6 @@ METRIC_NAMES: frozenset[str] = frozenset(
         "fleet.submitted",
         "fleet.worker_deaths",
         "fleet.workers_alive",
-        # lint — the linter's own run accounting
-        "lint.baselined",
-        "lint.cache_hits",
-        "lint.files",
-        "lint.findings",
-        "lint.suppressed",
         # methods — fidelity-ladder facade
         "methods.tier_violations",
         "methods.validated",

@@ -6,20 +6,15 @@ import pytest
 
 from repro.cli import main
 from repro.lint import (
-    LintConfigError,
     LintEngine,
     all_rules,
-    fingerprint,
     format_github,
     format_json,
     format_stats,
     format_text,
     get_rules,
-    load_baseline,
-    save_baseline,
     scope_path,
 )
-from repro.telemetry import MetricsRegistry
 
 
 def lint_source(source: str, relpath: str, tmp_path, rules=None):
@@ -259,6 +254,14 @@ class TestTelemetryHygiene:
         src = "def f(reg, name):\n    reg.counter(f\"serve.{name}\").inc()\n"
         assert lint_source(src, "src/repro/serve/mod.py", tmp_path) == []
 
+    def test_every_registered_metric_name_passes(self, tmp_path):
+        from repro.telemetry.names import METRIC_NAMES
+
+        src = "def f(reg):\n" + "".join(
+            f"    reg.counter({name!r}).inc()\n" for name in sorted(METRIC_NAMES)
+        )
+        assert lint_source(src, "src/repro/serve/mod.py", tmp_path, ["R004"]) == []
+
 
 class TestExceptionDiscipline:
     def test_bare_except_flagged(self, tmp_path):
@@ -286,82 +289,6 @@ class TestExceptionDiscipline:
         assert lint_source(src, "src/repro/utils/mod.py", tmp_path) == []
 
 
-class TestFingerprints:
-    def test_stable_under_line_drift(self, tmp_path):
-        src = "import numpy as np\n\ndef f(v):\n    return np.linalg.norm(v)\n"
-        before = lint_source(src, "src/repro/core/a.py", tmp_path)
-        drifted = "import numpy as np\n\nX = 1\nY = 2\n\ndef f(v):\n    return np.linalg.norm(v)\n"
-        after = lint_source(drifted, "src/repro/core/a.py", tmp_path)
-        assert before[0].fingerprint == after[0].fingerprint
-        assert before[0].line != after[0].line
-
-    def test_duplicate_lines_get_distinct_fingerprints(self, tmp_path):
-        src = (
-            "import numpy as np\n\n"
-            "def f(v):\n"
-            "    a = np.linalg.norm(v)\n"
-            "    b = np.linalg.norm(v)\n"
-            "    return a + b\n"
-        )
-        findings = lint_source(src, "src/repro/core/a.py", tmp_path)
-        assert len(findings) == 2
-        assert findings[0].fingerprint != findings[1].fingerprint
-
-    def test_fingerprint_changes_with_content(self):
-        a = fingerprint("R001", "p.py", "np.linalg.norm(v)", 0)
-        b = fingerprint("R001", "p.py", "np.linalg.norm(w)", 0)
-        assert a != b and len(a) == 16
-
-
-class TestBaseline:
-    def _engine_run(self, tmp_path, source, baseline=None):
-        (tmp_path / "core").mkdir(exist_ok=True)
-        (tmp_path / "core" / "mod.py").write_text(source)
-        return LintEngine().run([str(tmp_path)], baseline)
-
-    def test_baseline_roundtrip_grandfathers(self, tmp_path):
-        src = "import numpy as np\n\ndef f(v):\n    return np.linalg.norm(v)\n"
-        first = self._engine_run(tmp_path, src)
-        assert len(first.findings) == 1
-        bl_path = tmp_path / "bl.json"
-        save_baseline(bl_path, first.findings)
-        second = self._engine_run(tmp_path, src, load_baseline(bl_path))
-        assert second.findings == [] and len(second.baselined) == 1
-        assert second.clean
-
-    def test_fixed_finding_goes_stale(self, tmp_path):
-        src = "import numpy as np\n\ndef f(v):\n    return np.linalg.norm(v)\n"
-        first = self._engine_run(tmp_path, src)
-        bl_path = tmp_path / "bl.json"
-        save_baseline(bl_path, first.findings)
-        fixed = "def f(backend, v):\n    return backend.norm(v)\n"
-        result = self._engine_run(tmp_path, fixed, load_baseline(bl_path))
-        assert result.findings == []
-        assert result.stale_baseline == [first.findings[0].fingerprint]
-
-    def test_new_finding_fails_despite_baseline(self, tmp_path):
-        src = "import numpy as np\n\ndef f(v):\n    return np.linalg.norm(v)\n"
-        first = self._engine_run(tmp_path, src)
-        bl_path = tmp_path / "bl.json"
-        save_baseline(bl_path, first.findings)
-        grown = src + "\ndef g(v):\n    return np.sum(v)\n"
-        result = self._engine_run(tmp_path, grown, load_baseline(bl_path))
-        assert len(result.findings) == 1 and len(result.baselined) == 1
-        assert "np.sum" in result.findings[0].message
-
-    def test_malformed_baseline_raises(self, tmp_path):
-        bad = tmp_path / "bl.json"
-        bad.write_text("{\"version\": 99}")
-        with pytest.raises(LintConfigError, match="unsupported format"):
-            load_baseline(bad)
-
-    def test_unparseable_baseline_raises(self, tmp_path):
-        bad = tmp_path / "bl.json"
-        bad.write_text("not json")
-        with pytest.raises(LintConfigError, match="not valid JSON"):
-            load_baseline(bad)
-
-
 class TestReports:
     def _result(self, tmp_path):
         (tmp_path / "core").mkdir(exist_ok=True)
@@ -372,14 +299,14 @@ class TestReports:
 
     def test_json_schema(self, tmp_path):
         doc = json.loads(format_json(self._result(tmp_path)))
-        assert doc["schema_version"] == 1
+        assert doc["schema_version"] == 2
+        assert set(doc) == {"schema_version", "summary", "findings", "rules"}
         assert set(doc["summary"]) == {
-            "files", "findings", "baselined", "suppressed",
-            "stale_baseline", "clean", "by_rule",
+            "files", "findings", "suppressed", "clean", "by_rule",
         }
         finding = doc["findings"][0]
         assert set(finding) == {
-            "rule", "severity", "path", "line", "col", "message", "fingerprint",
+            "rule", "severity", "path", "line", "col", "message",
         }
         assert doc["summary"]["by_rule"] == {"R001": 1}
         assert {r["id"] for r in doc["rules"]} == {
@@ -411,14 +338,6 @@ class TestReports:
         assert "project graph:" in out
         assert "timings:" in out and "graph_build" in out
 
-    def test_metrics_recording(self, tmp_path):
-        registry = MetricsRegistry()
-        self._result(tmp_path).record_metrics(registry)
-        snap = registry.snapshot()
-        assert snap["lint.findings"] == 1
-        assert snap["lint.files"] == 1
-        assert snap["lint.baselined"] == 0
-
 
 class TestCLI:
     def _fixture(self, tmp_path, source):
@@ -447,29 +366,10 @@ class TestCLI:
         assert main(["lint", root, "--rules", "R999"]) == 2
         assert "unknown lint rule" in capsys.readouterr().err
 
-    def test_exit_two_on_missing_explicit_baseline(
-        self, tmp_path, monkeypatch, capsys
-    ):
-        monkeypatch.chdir(tmp_path)
-        root = self._fixture(tmp_path, "x = 1\n")
-        assert main(["lint", root, "--baseline", "nope.json"]) == 2
-        assert "does not exist" in capsys.readouterr().err
-
     def test_exit_two_on_missing_path(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         assert main(["lint", str(tmp_path / "nowhere")]) == 2
         assert "no such path" in capsys.readouterr().err
-
-    def test_write_baseline_then_clean(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.chdir(tmp_path)
-        root = self._fixture(
-            tmp_path, "import numpy as np\n\ndef f(v):\n    return np.linalg.norm(v)\n"
-        )
-        assert main(["lint", root, "--write-baseline"]) == 0
-        assert (tmp_path / "lint-baseline.json").exists()
-        capsys.readouterr()
-        assert main(["lint", root]) == 0
-        assert "1 baselined" in capsys.readouterr().out
 
     def test_rule_selection(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -513,28 +413,11 @@ class TestCLI:
 
 
 class TestRepoIsClean:
-    """The repo's own source lints clean against its checked-in baseline."""
+    """The repo's own source lints clean: all rules, nothing grandfathered."""
 
     def test_src_lints_clean(self, capsys):
         from pathlib import Path
 
         repo = Path(__file__).resolve().parent.parent
-        assert (repo / "lint-baseline.json").exists()
-        code = main(
-            [
-                "lint",
-                str(repo / "src"),
-                "--baseline",
-                str(repo / "lint-baseline.json"),
-                "--no-cache",
-            ]
-        )
+        code = main(["lint", str(repo / "src")])
         assert code == 0, capsys.readouterr().out
-
-    def test_baseline_is_empty(self):
-        """The ratchet has fully paid down: nothing is grandfathered, and
-        the whole-program rules (R100–R103) pass with no baseline help."""
-        from pathlib import Path
-
-        repo = Path(__file__).resolve().parent.parent
-        assert load_baseline(repo / "lint-baseline.json") == {}
