@@ -16,6 +16,8 @@ boundary (:meth:`Backend.to_numpy` / :meth:`Backend.from_numpy`).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.backend.policy import PrecisionPolicy
@@ -80,22 +82,43 @@ class Backend:
         return out.astype(self.compute_dtype, copy=False)
 
     def clip(self, x, lo, hi):
-        """Elementwise box projection (the only place bounds (9d) live)."""
-        return self.xp.clip(x, lo, hi)
+        """Elementwise box projection (the only place bounds (9d) live).
 
-    def matmul_batched(self, proj, v_pad):
-        """One padded batched projection: ``(S, w, w) @ (S, w) -> (S*w,)``.
+        The same bits as ``xp.clip`` (signed zeros and NaN included)
+        without its Python wrapper.
+        """
+        xp = self.xp
+        return xp.minimum(xp.maximum(x, lo), hi)
+
+    def matmul_batched(self, proj, v_pad, out=None):
+        """One padded batched projection: ``(S, w, w) @ (S, w, 1)``, written
+        into the ``(S, w, 1)`` ``out`` when given.  A flat ``(S*w,)``
+        ``v_pad`` gives a flat product.
 
         The NumPy/CuPy equivalent of the paper's one-block-per-component
         CUDA kernel (Section IV-D).
         """
-        sb, width = proj.shape[0], proj.shape[1]
-        return self.xp.matmul(proj, v_pad.reshape(sb, width, 1)).reshape(-1)
+        if v_pad.ndim == 1:
+            sb, width = proj.shape[0], proj.shape[1]
+            v_pad = v_pad.reshape(sb, width, 1)
+            return self.xp.matmul(proj, v_pad, out=out).reshape(-1)
+        return self.xp.matmul(proj, v_pad, out=out)
+
+    def take(self, a, idx, out=None):
+        """``a[idx]`` through an index vector built at set-up, into ``out``
+        when given: the gathers around the batched projection.  Such
+        indices are always in range, so ``mode="clip"`` changes no value;
+        it only spares NumPy the copy of ``out`` its default mode makes."""
+        return a.take(idx, out=out, mode="clip")
 
     def norm(self, v) -> float:
-        """Euclidean norm accumulated in the accumulate dtype (fp64)."""
-        v = self.xp.asarray(v, dtype=self.accumulate_dtype)
-        return float(self.xp.linalg.norm(v))
+        """Euclidean norm accumulated in the accumulate dtype (fp64).
+
+        Exactly what ``xp.linalg.norm`` computes for a vector, without
+        its Python wrapper.
+        """
+        v = self.xp.asarray(v, dtype=self.accumulate_dtype).ravel()
+        return math.sqrt(v.dot(v))
 
     def dot(self, a, b) -> float:
         """Inner product accumulated in fp64 (objective evaluation)."""

@@ -57,6 +57,10 @@ class CupyBackend(Backend):
     def to_numpy(self, a) -> np.ndarray:  # pragma: no cover - hardware
         return np.asarray(_cupy.asnumpy(a), dtype=np.float64)
 
+    def take(self, a, idx, out=None):  # pragma: no cover - hardware
+        # CuPy's take has no ``mode`` argument.
+        return a.take(idx, out=out)
+
     def norm(self, v) -> float:  # pragma: no cover - hardware
         v = _cupy.asarray(v, dtype=self.accumulate_dtype)
         return float(_cupy.linalg.norm(v))

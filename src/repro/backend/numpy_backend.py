@@ -25,11 +25,6 @@ class NumpyBackend(Backend):
     def xp(self):
         return np
 
-    def norm(self, v) -> float:
-        # `asarray` is a no-copy pass-through for fp64 inputs, so the
-        # numpy64 path is exactly the historical np.linalg.norm call.
-        return float(np.linalg.norm(np.asarray(v, dtype=self.accumulate_dtype)))
-
     @staticmethod
     def is_available() -> bool:
         return True

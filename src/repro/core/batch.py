@@ -19,7 +19,9 @@ matmul*: components are grouped into width buckets (power-of-two padded
 ``n_s``), each bucket holding a dense ``(S_b, width, width)`` tensor, so one
 ``matmul`` call per bucket performs every component's projection — the exact
 data-parallel structure of the paper's kernel, bounded padding waste
-included.
+included.  The padded vectors of all buckets share one buffer, laid out
+bucket after bucket, so a call moves the stacked vector in and out of the
+padded layout with one gather each way.
 """
 
 from __future__ import annotations
@@ -75,13 +77,18 @@ class _Bucket:
     proj: np.ndarray  # (S_b, width, width) in the backend's compute dtype
     bbar: np.ndarray  # (S_b, width)
     stack_idx: np.ndarray  # positions of bucket entries in the stacked z
-    pad_idx: np.ndarray  # flat positions into (S_b * width,)
-    v_pad: np.ndarray = field(repr=False, default=None)  # type: ignore[assignment]
 
 
 @dataclass
 class BatchedLocalSolver:
-    """Precomputed batched projection operators for all components."""
+    """Precomputed batched projection operators for all components.
+
+    Every call runs through one padded layout: the buckets' ``(S_b,
+    width)`` blocks laid end to end.  ``pad_from_stack`` names the entry
+    of ``v_stack`` (the stacked input plus a trailing zero slot) each
+    padded slot reads, so padding reads zero; ``stack_from_pad`` names
+    the padded slot each stacked entry comes back from.
+    """
 
     n_local: int
     n_components: int
@@ -89,7 +96,35 @@ class BatchedLocalSolver:
     component_location: dict[int, tuple[int, int]]  # comp -> (bucket, row)
     sizes: np.ndarray  # (S,) n_s per component
     flops: np.ndarray  # (S,) flop count of one local update per component
+    pad_from_stack: np.ndarray  # (P,) v_stack position of each padded slot
+    stack_from_pad: np.ndarray  # (n_local,) padded slot of each stacked entry
     backend: Backend = None  # type: ignore[assignment]
+    v_stack: np.ndarray = field(init=False, repr=False)  # (n_local + 1,)
+    v_pad: np.ndarray = field(init=False, repr=False)  # (P,) padded input
+    z_pad: np.ndarray = field(init=False, repr=False)  # (P,) padded output
+    bbar_pad: np.ndarray = field(init=False, repr=False)  # (P,) every bucket's bbar
+
+    def __post_init__(self):
+        b = self.backend
+        n_pad = self.pad_from_stack.size
+        self.v_stack = b.zeros(self.n_local + 1)
+        self.v_pad = b.empty(n_pad)
+        self.z_pad = b.empty(n_pad)
+        self.bbar_pad = b.empty(n_pad)
+        # (proj, padded input, padded output) per bucket, the vectors as
+        # (S_b, width, 1) views into the shared buffers.
+        self._kernels = []
+        start = 0
+        for bucket in self.buckets:
+            stop = start + bucket.bbar.size
+            self.bbar_pad[start:stop] = bucket.bbar.reshape(-1)
+            shape = (bucket.bbar.shape[0], bucket.width, 1)
+            self._kernels.append((
+                bucket.proj,
+                self.v_pad[start:stop].reshape(shape),
+                self.z_pad[start:stop].reshape(shape),
+            ))
+            start = stop
 
     @classmethod
     def from_decomposition(
@@ -129,8 +164,13 @@ class BatchedLocalSolver:
         for s, w in enumerate(widths):
             by_width.setdefault(w, []).append(s)
 
+        n_local = int(offsets[-1])
+        n_pad = sum(len(idxs) * width for width, idxs in by_width.items())
+        pad_from_stack = np.full(n_pad, n_local, dtype=np.int64)
+        stack_from_pad = np.zeros(n_local, dtype=np.int64)
         buckets: list[_Bucket] = []
         location: dict[int, tuple[int, int]] = {}
+        start = 0  # the bucket's first slot in the padded layout
         for width in sorted(by_width):
             idxs = by_width[width]
             sb = len(idxs)
@@ -147,51 +187,57 @@ class BatchedLocalSolver:
                     mmat, bb = projection_data(comp.a, comp.b)
                 proj[row, :n_s, :n_s] = mmat
                 bbar[row, :n_s] = bb
-                start = int(offsets[s])
-                stack_parts.append(np.arange(start, start + n_s, dtype=np.int64))
-                pad_parts.append(np.arange(row * width, row * width + n_s, dtype=np.int64))
+                first = int(offsets[s])
+                stack_parts.append(np.arange(first, first + n_s, dtype=np.int64))
+                first = start + row * width
+                pad_parts.append(np.arange(first, first + n_s, dtype=np.int64))
                 location[s] = (len(buckets), row)
-            bucket = _Bucket(
-                width=width,
-                comp_indices=np.asarray(idxs, dtype=np.int64),
-                proj=backend.asarray(proj),
-                bbar=backend.asarray(bbar),
-                stack_idx=backend.index_array(np.concatenate(stack_parts)),
-                pad_idx=backend.index_array(np.concatenate(pad_parts)),
+            stack_idx = np.concatenate(stack_parts)
+            pad_idx = np.concatenate(pad_parts)
+            pad_from_stack[pad_idx] = stack_idx
+            stack_from_pad[stack_idx] = pad_idx
+            buckets.append(
+                _Bucket(
+                    width=width,
+                    comp_indices=np.asarray(idxs, dtype=np.int64),
+                    proj=backend.asarray(proj),
+                    bbar=backend.asarray(bbar),
+                    stack_idx=backend.index_array(stack_idx),
+                )
             )
-            bucket.v_pad = backend.zeros(sb * width)
-            buckets.append(bucket)
+            start += sb * width
         sizes = np.array([c.n_vars for c in comps], dtype=np.int64)
         # One local update per component: dense matvec (2 n^2) plus the
         # add; the 2.0 factor promotes the int64 sizes to float.
         flops = 2.0 * sizes * sizes + sizes
         return cls(
-            n_local=int(offsets[-1]),
+            n_local=n_local,
             n_components=len(comps),
             buckets=buckets,
             component_location=location,
             sizes=sizes,
             flops=flops,
+            pad_from_stack=backend.index_array(pad_from_stack),
+            stack_from_pad=backend.index_array(stack_from_pad),
             backend=backend,
         )
 
     def solve(self, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Apply every component's projection to the stacked vector ``v``.
 
-        ``z[s] = M_s v_s + bbar_s`` for all components, via one batched
-        matmul per width bucket.
+        ``z[s] = M_s v_s + bbar_s`` for all components: one gather into the
+        padded layout, one batched matmul per width bucket, one gather back
+        (into ``out`` when given).
         """
         if v.shape != (self.n_local,):
             raise ValueError(f"expected stacked vector of length {self.n_local}")
         b = self.backend
-        z = out if out is not None else b.empty(self.n_local)
-        for bucket in self.buckets:
-            vp = bucket.v_pad
-            vp[bucket.pad_idx] = v[bucket.stack_idx]
-            zp = b.matmul_batched(bucket.proj, vp)
-            zp += bucket.bbar.reshape(-1)
-            z[bucket.stack_idx] = zp[bucket.pad_idx]
-        return z
+        self.v_stack[: self.n_local] = v
+        b.take(self.v_stack, self.pad_from_stack, out=self.v_pad)
+        for proj, v_pad, z_pad in self._kernels:
+            b.matmul_batched(proj, v_pad, out=z_pad)
+        self.z_pad += self.bbar_pad
+        return b.take(self.z_pad, self.stack_from_pad, out=out)
 
     def solve_one(self, s: int, v_s: np.ndarray) -> np.ndarray:
         """Un-batched single-component projection (CPU-agent execution path;

@@ -29,12 +29,17 @@ import time
 
 from repro.backend import Backend, resolve_backend
 from repro.core.config import ADMMConfig
-from repro.core.residuals import Residuals, compute_residuals
+from repro.core.residuals import compute_residuals
 from repro.core.results import ADMMResult, IterationHistory
 from repro.core.rho import ResidualBalancer
 from repro.telemetry import NULL_TRACER
 from repro.utils.exceptions import ConvergenceError, DivergenceError
-from repro.utils.timing import PhaseTimer
+
+
+def _phase_timers(timed: int, *totals: float) -> dict:
+    """The ``timers`` of a run: each phase's wall seconds summed over
+    ``timed`` iterations (empty when no iteration was timed)."""
+    return dict(zip(("global", "local", "dual", "residual"), totals)) if timed else {}
 
 
 def truncate_history(history: IterationHistory | None, n: int) -> None:
@@ -199,12 +204,6 @@ class ADMMLoop:
         self.balancer = balancer
 
     # ------------------------------------------------------------------
-    def _default_residuals(self, bx, z, z_prev, lam, rho) -> Residuals:
-        """Eq. (16) with norms accumulated per the backend's policy."""
-        return compute_residuals(
-            bx, z, z_prev, lam, rho, self.config.eps_rel, backend=self.backend
-        )
-
     def _raise_divergence(self, iteration, res, best, history, timers) -> None:
         """Build the best-so-far result and raise :class:`DivergenceError`.
 
@@ -226,7 +225,7 @@ class ADMMLoop:
                 pres=b_res.pres,
                 dres=b_res.dres,
                 history=history,
-                timers=strat.final_timers(timers.as_dict() if timers else {}),
+                timers=strat.final_timers(timers),
                 algorithm=strat.final_algorithm_name(),
             )
         raise DivergenceError(
@@ -251,7 +250,6 @@ class ADMMLoop:
         rho = cfg.rho if rho is None else rho
         relax = cfg.relaxation if strat.use_relaxation else 1.0
         history = IterationHistory() if self.record_history else None
-        timers = PhaseTimer() if self.record_timers else None
         tracer = self.tracer
         balancing = (
             cfg.residual_balancing
@@ -262,10 +260,29 @@ class ADMMLoop:
         stall_watch = self.watch_stall and policy.refine
         stall_best = None  # running best of the stall metric
         stall_best_at_check = None  # its value at the previous check
-        fused = strat.local_dual_step is not None
         guard = cfg.divergence_guard
         spans = self.phase_spans
-        # perf_counter stamps feed the phase timers and/or the phase spans.
+        # The strategy's hooks and the residual function are looked up once
+        # per run, not per iteration, and never earlier: instrumentation may
+        # wrap them between runs.
+        on_iteration_start = strat.on_iteration_start
+        global_step = strat.global_step
+        gather = strat.gather
+        local_dual_step = strat.local_dual_step
+        local_step = strat.local_step
+        dual_step = strat.dual_step
+        strategy_residuals = strat.residuals
+        after_residuals = strat.after_residuals
+        on_iteration_continue = strat.on_iteration_continue
+        compute, eps_rel, backend = compute_residuals, cfg.eps_rel, self.backend
+        # perf_counter stamps feed the phase timers and/or the phase spans;
+        # the timers add up in locals and become the result's totals once.
+        record = self.record_timers
+        trace_phases = bool(spans and tracer)
+        stamp = record or trace_phases
+        clock = time.perf_counter
+        t_global = t_local = t_dual = t_residual = 0.0
+        timed = 0
         res = None
         iteration = 0
         best = None  # (iteration, x, z, lam, res) of the last finite state
@@ -283,54 +300,61 @@ class ADMMLoop:
         ):
             while iteration < budget:
                 iteration += 1
-                z, lam = strat.on_iteration_start(iteration, z, lam, rho)
-                stamp = self.record_timers or (spans and tracer)
+                z, lam = on_iteration_start(iteration, z, lam, rho)
                 try:
-                    t0 = time.perf_counter() if stamp else 0.0
-                    x = strat.global_step(z, lam, rho)
-                    t1 = time.perf_counter() if stamp else 0.0
-                    bx = strat.gather(x)
+                    t0 = clock() if stamp else 0.0
+                    x = global_step(z, lam, rho)
+                    t1 = clock() if stamp else 0.0
+                    bx = gather(x)
                     z_prev = z
                     # Over-relaxation (alpha = 1 is the plain algorithm).
                     bx_eff = bx if relax == 1.0 else (
                         relax * bx + (1.0 - relax) * z_prev
                     )
-                    if fused:
-                        z, lam = strat.local_dual_step(bx_eff, z_prev, lam, rho)
-                        t2 = t3 = time.perf_counter() if stamp else 0.0
+                    if local_dual_step is not None:
+                        z, lam = local_dual_step(bx_eff, z_prev, lam, rho)
+                        t2 = t3 = clock() if stamp else 0.0
                     else:
-                        z = strat.local_step(bx_eff, z_prev, lam, rho)
-                        t2 = time.perf_counter() if stamp else 0.0
-                        lam = strat.dual_step(lam, bx_eff, z, rho)
-                        t3 = time.perf_counter() if stamp else 0.0
+                        z = local_step(bx_eff, z_prev, lam, rho)
+                        t2 = clock() if stamp else 0.0
+                        lam = dual_step(lam, bx_eff, z, rho)
+                        t3 = clock() if stamp else 0.0
                 except RewindSignal as rewind:
                     z, lam = rewind.z, rewind.lam
                     truncate_history(history, rewind.iteration)
                     iteration = rewind.iteration
                     continue
-                if strat.residuals is not None:
-                    res = strat.residuals(iteration, x, bx, z, z_prev, lam, rho)
+                if strategy_residuals is not None:
+                    res = strategy_residuals(iteration, x, bx, z, z_prev, lam, rho)
                 else:
-                    res = self._default_residuals(bx, z, z_prev, lam, rho)
-                t4 = time.perf_counter() if stamp else 0.0
-                if timers is not None:
-                    timers.add("global", t1 - t0)
-                    timers.add("local", t2 - t1)
-                    timers.add("dual", t3 - t2)
-                    timers.add("residual", t4 - t3)
-                if spans and tracer:
+                    res = compute(bx, z, z_prev, lam, rho, eps_rel, backend)
+                t4 = clock() if stamp else 0.0
+                if record:
+                    t_global += t1 - t0
+                    t_local += t2 - t1
+                    t_dual += t3 - t2
+                    t_residual += t4 - t3
+                    timed += 1
+                if trace_phases:
                     tracer.add_complete("admm.global", t0, t1, cat="admm")
                     tracer.add_complete("admm.local", t1, t2, cat="admm")
                     tracer.add_complete("admm.dual", t2, t3, cat="admm")
                     tracer.add_complete("admm.residual", t3, t4, cat="admm")
                 if guard:
-                    if res.finite:
-                        # Updates never mutate x/z/lam in place, so keeping
+                    if not res.finite:
+                        self._raise_divergence(
+                            iteration, res, best, history,
+                            _phase_timers(timed, t_global, t_local, t_dual, t_residual),
+                        )
+                    if callback is None:
+                        # Updates never write into x/z/lam, so keeping
                         # references (no copies) is safe.
                         best = (iteration, x, z, lam, res)
                     else:
-                        self._raise_divergence(iteration, res, best, history, timers)
-                strat.after_residuals(iteration, res)
+                        # The callback is handed the live arrays and may
+                        # write into them.
+                        best = (iteration, x.copy(), z.copy(), lam.copy(), res)
+                after_residuals(iteration, res)
                 if history is not None:
                     history.append(res.pres, res.dres, res.eps_prim, res.eps_dual, rho)
                 if callback is not None:
@@ -341,7 +365,7 @@ class ADMMLoop:
                     rho = self.balancer.adapt(
                         rho, iteration, res.pres, res.dres, res.eps_prim, res.eps_dual
                     )
-                strat.on_iteration_continue(iteration, z, lam, rho)
+                on_iteration_continue(iteration, z, lam, rho)
                 if stall_watch:
                     # ADMM residuals oscillate, so single-iterate
                     # comparisons would routinely flag healthy runs; the
@@ -381,7 +405,7 @@ class ADMMLoop:
         return LoopOutcome(
             x=x, z=z, lam=lam, res=res, iterations=iteration,
             converged=converged, stalled=stalled, history=history,
-            timers=timers.as_dict() if timers is not None else {},
+            timers=_phase_timers(timed, t_global, t_local, t_dual, t_residual),
         )
 
     # ------------------------------------------------------------------

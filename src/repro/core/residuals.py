@@ -15,6 +15,7 @@ where ``B x`` is the gather ``x[global_cols]``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,11 +40,11 @@ class Residuals:
         ``lam``, so a single NaN/inf anywhere in the state surfaces here —
         the divergence guards check this instead of re-scanning the vectors.
         """
-        return bool(
-            np.isfinite(self.pres)
-            and np.isfinite(self.dres)
-            and np.isfinite(self.eps_prim)
-            and np.isfinite(self.eps_dual)
+        return (
+            math.isfinite(self.pres)
+            and math.isfinite(self.dres)
+            and math.isfinite(self.eps_prim)
+            and math.isfinite(self.eps_dual)
         )
 
 
@@ -80,4 +81,4 @@ def compute_residuals(
     dres = float(rho * norm(z - z_prev))
     eps_prim = float(eps_rel * max(norm(bx), norm(z)))
     eps_dual = float(eps_rel * norm(lam))
-    return Residuals(pres=pres, dres=dres, eps_prim=eps_prim, eps_dual=eps_dual)
+    return Residuals(pres, dres, eps_prim, eps_dual)

@@ -30,6 +30,7 @@ Two layers:
 from __future__ import annotations
 
 import hashlib
+import math
 import time
 from dataclasses import dataclass
 
@@ -326,6 +327,24 @@ class _BatchOutcome:
             self.diverged = []
 
 
+def scenario_norms(xp, rows, k_n, bx, z, z_prev, lam):
+    """Per-scenario norms of ``bx - z``, ``z - z_prev``, ``bx``, ``z`` and
+    ``lam``, each stacked from ``k_n`` equal scenario slices, as a
+    ``(5, k_n)`` array.
+
+    ``rows`` is a ``(5, len(z))`` buffer in the accumulate dtype.  One
+    squared sum over its rows gives the same bits as five row-wise
+    ``linalg.norm`` calls on the ``(k_n, -1)`` reshapes.
+    """
+    xp.subtract(bx, z, out=rows[0])
+    xp.subtract(z, z_prev, out=rows[1])
+    rows[2] = bx
+    rows[3] = z
+    rows[4] = lam
+    xp.multiply(rows, rows, out=rows)
+    return xp.sqrt(xp.add.reduce(rows.reshape(5, k_n, -1), axis=2))
+
+
 class _StackedStatus:
     """The residual view the iteration engine sees for a stacked batch:
     scalar aggregates for tracing plus ``converged`` = every scenario
@@ -385,6 +404,9 @@ class _ServingBatch:
         self.has_deadline = bool(np.isfinite(deadline_at).any())
         self.check_every = engine.resilience.deadline_check_every
         self._iteration = 0
+        # Rows bx - z, z - z_prev, bx, z, lam of the per-scenario norms.
+        b = strategy.backend
+        self._norm_rows = b.xp.empty((5, strategy.n_local), dtype=b.accumulate_dtype)
 
     def __getattr__(self, name):
         if name == "strategy":  # not yet bound: no delegation loop
@@ -423,36 +445,35 @@ class _ServingBatch:
                     )
         return z
 
-    def _norms(self, v):
-        """Per-scenario norms of a stacked local vector, accumulated per
-        the backend's policy."""
-        b = self.backend
-        v = v.reshape(len(self.problems), -1).astype(b.accumulate_dtype, copy=False)
-        return b.xp.linalg.norm(v, axis=1)
-
     def residuals(self, iteration, x, bx, z, z_prev, lam, rho) -> _StackedStatus:
         """Per-scenario residuals of (16) plus the retirement bookkeeping:
         scenario-major slices reshape cleanly to (K, n_local)."""
         n, n_local = self.scenario_n, self.scenario_n_local
-        host, norms = self.backend.to_numpy, self._norms
-        pres = host(norms(bx - z))
-        dres = self.rho_k * host(norms(z - z_prev))
-        eps_prim = self.eps_k * host(self.backend.xp.maximum(norms(bx), norms(z)))
-        eps_dual = self.eps_k * host(norms(lam))
+        host = self.backend.to_numpy
+        norms = scenario_norms(
+            self.backend.xp, self._norm_rows, len(self.problems), bx, z, z_prev, lam
+        )
+        pres = host(norms[0])
+        dres = self.rho_k * host(norms[1])
+        eps_prim = self.eps_k * host(self.backend.xp.maximum(norms[2], norms[3]))
+        eps_dual = self.eps_k * host(norms[4])
+        pres_max, dres_max = float(pres.max()), float(dres.max())
         done = self.done
         # Divergence isolation: a non-finite iterate retires its scenario
         # immediately (for retry/degradation by the caller) and its slices
-        # are reset so no NaN survives into later iterations.
-        bad = ~done & ~(np.isfinite(pres) & np.isfinite(dres))
-        if bad.any():
-            self.diverged |= bad
-            done |= bad
-            self.iters[bad] = iteration
-            x0, z0, lam0 = self.strategy.initial_state()
-            for k in np.flatnonzero(bad):
-                gs = slice(k * n, (k + 1) * n)
-                ls = slice(k * n_local, (k + 1) * n_local)
-                x[gs], z[ls], lam[ls] = x0[gs], z0[ls], lam0[ls]
+        # are reset so no NaN survives into later iterations.  The maxima
+        # propagate NaN, so finite maxima mean there is nothing to isolate.
+        if not (math.isfinite(pres_max) and math.isfinite(dres_max)):
+            bad = ~done & ~(np.isfinite(pres) & np.isfinite(dres))
+            if bad.any():
+                self.diverged |= bad
+                done |= bad
+                self.iters[bad] = iteration
+                x0, z0, lam0 = self.strategy.initial_state()
+                for k in np.flatnonzero(bad):
+                    gs = slice(k * n, (k + 1) * n)
+                    ls = slice(k * n_local, (k + 1) * n_local)
+                    x[gs], z[ls], lam[ls] = x0[gs], z0[ls], lam0[ls]
         # Deadline sweep: cheap, so only every `check_every` iterations.
         if self.has_deadline and iteration % self.check_every == 0:
             late = ~done & (self.deadline_at < time.perf_counter())
@@ -475,8 +496,8 @@ class _ServingBatch:
                 )
             done |= newly
         return _StackedStatus(
-            pres=float(pres.max()),
-            dres=float(dres.max()),
+            pres=pres_max,
+            dres=dres_max,
             eps_prim=float(eps_prim.min()),
             eps_dual=float(eps_dual.min()),
             converged=bool(done.all()),

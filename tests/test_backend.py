@@ -3,6 +3,9 @@ the mixed-precision refinement fallback."""
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro.backend import (
     BACKEND_ENV_VAR,
@@ -22,6 +25,7 @@ from repro.core.solver_free import SolverFreeADMM
 from repro.decomposition import decompose
 from repro.feeders import SyntheticFeederSpec, build_synthetic_feeder, ieee13
 from repro.formulation import build_centralized_lp
+from repro.serve.engine import scenario_norms
 
 
 @pytest.fixture(scope="module")
@@ -123,6 +127,93 @@ class TestPrimitives:
         b = get_backend("numpy32")
         out = b.to_numpy(b.zeros(4))
         assert out.dtype == np.float64
+
+
+#: Backend whose compute dtype is each float dtype (both accumulate in fp64).
+_BACKEND_FOR = {np.dtype(np.float64): "numpy64", np.dtype(np.float32): "numpy32"}
+_DTYPES = st.sampled_from([np.float64, np.float32])
+_SPECIAL = [0.0, -0.0, np.inf, -np.inf, 1.0, -1.0, 5e-324, -5e-324]
+
+
+def _floats(dtype, nan=False, inf=True):
+    """Any float of ``dtype``, signed zeros, unit values, infinities (when
+    ``inf``) and subnormals included."""
+    dtype = np.dtype(dtype)
+    width = dtype.itemsize * 8
+    tiny = float(np.finfo(dtype).smallest_normal)
+    special = [dtype.type(v) for v in _SPECIAL if inf or np.isfinite(v)]
+    return (
+        st.floats(width=width, allow_nan=nan, allow_infinity=inf)
+        | st.floats(-tiny, tiny, width=width)
+        | st.sampled_from(special)
+    )
+
+
+def _bits(a):
+    a = np.asarray(a)
+    return a.view(np.uint64 if a.dtype == np.float64 else np.uint32)
+
+
+@st.composite
+def _clip_cases(draw):
+    """``(x, lo, hi)`` of one dtype; NaN only in ``x``, sometimes ``lo == hi``."""
+    dtype = draw(_DTYPES)
+    n = draw(st.integers(0, 70))
+    x = draw(arrays(dtype, n, elements=_floats(dtype, nan=True)))
+    lo = draw(arrays(dtype, n, elements=_floats(dtype)))
+    hi = lo.copy() if draw(st.booleans()) else draw(arrays(dtype, n, elements=_floats(dtype)))
+    return x, lo, hi
+
+
+@st.composite
+def _vectors(draw):
+    """A vector of either dtype, sometimes a strided view."""
+    dtype = draw(_DTYPES)
+    stride = draw(st.integers(1, 3))
+    n = draw(st.integers(0, 600))
+    return draw(arrays(dtype, n * stride, elements=_floats(dtype)))[::stride]
+
+
+class TestPrimitiveEquivalence:
+    """The backend's wrapper-free spellings give NumPy's bits exactly."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_clip_cases())
+    @example((
+        np.array([-0.0, 0.0, -0.0, 0.0, np.nan]),
+        np.array([0.0, -0.0, -0.0, 0.0, 0.0]),
+        np.array([0.0, -0.0, 1.0, 1.0, 0.0]),
+    ))
+    def test_clip_matches_np_clip(self, case):
+        x, lo, hi = case
+        got = get_backend(_BACKEND_FOR[x.dtype]).clip(x, lo, hi)
+        want = np.clip(x, lo, hi)
+        assert got.dtype == want.dtype
+        assert np.array_equal(_bits(got), _bits(want))
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    @settings(max_examples=200, deadline=None)
+    @given(_vectors())
+    @example(np.zeros(0))
+    @example(np.full(7, 5e-324))
+    def test_norm_matches_linalg_norm(self, v):
+        with np.errstate(over="ignore"):
+            got = get_backend(_BACKEND_FOR[v.dtype]).norm(v)
+            want = np.linalg.norm(np.asarray(v, dtype=np.float64))
+        assert isinstance(got, float)
+        assert _bits(got) == _bits(want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), dtype=_DTYPES, k_n=st.integers(1, 5), n=st.integers(1, 300))
+    def test_scenario_norms_match_rowwise_linalg_norm(self, data, dtype, k_n, n):
+        vec = arrays(dtype, k_n * n, elements=_floats(dtype, inf=False))
+        bx, z, z_prev, lam = (data.draw(vec) for _ in range(4))
+        rows = np.empty((5, k_n * n))
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = scenario_norms(np, rows, k_n, bx, z, z_prev, lam)
+            for row, v in zip(got, (bx - z, z - z_prev, bx, z, lam)):
+                want = np.linalg.norm(v.reshape(k_n, -1).astype(np.float64), axis=1)
+                assert np.array_equal(_bits(row), _bits(want))
 
 
 class TestEquivalence:

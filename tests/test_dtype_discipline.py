@@ -79,7 +79,8 @@ class TestSolverFree:
         for bucket in solver.buckets:
             assert bucket.proj.dtype == np.float32
             assert bucket.bbar.dtype == np.float32
-            assert bucket.v_pad.dtype == np.float32
+        for buffer in (solver.v_stack, solver.v_pad, solver.z_pad, solver.bbar_pad):
+            assert buffer.dtype == np.float32
         v = b.zeros(dec13.n_local)
         assert solver.solve(v).dtype == np.float32
 

@@ -102,21 +102,36 @@ class TestDivergenceGuard:
         assert err.iteration == 1
         assert err.result is None  # no finite state ever existed
 
+    @staticmethod
+    def poison(iteration, x, z, lam, res):
+        """A callback that writes inf into the live lam at iteration 5."""
+        if iteration == 5:
+            lam[0] = np.inf
+
     def test_midway_corruption_carries_best_so_far(self):
         solver = SolverFreeADMM(self.dec(), ADMMConfig(max_iter=100, eps_rel=1e-12))
-
-        def poison(iteration, x, z, lam, res):
-            if iteration == 5:
-                lam[0] = np.inf
-
         with pytest.raises(DivergenceError) as exc_info:
-            solver.solve(callback=poison)
+            solver.solve(callback=self.poison)
         err = exc_info.value
         assert err.iteration == 6
         assert err.result is not None
         assert err.result.iterations == 5
+        # The callback poisoned the live lam after the guard captured it;
+        # the captured state must not see that write.
         assert np.isfinite(err.result.x).all()
+        assert np.isfinite(err.result.z).all()
+        assert np.isfinite(err.result.lam).all()
         assert not err.result.converged
+
+    def test_timers_flushed_before_raise(self):
+        """The loop writes its phase totals once per run, and also before
+        the guard raises (a finished solve: test_solver_free.py)."""
+        solver = SolverFreeADMM(self.dec(), ADMMConfig(max_iter=100, eps_rel=1e-12))
+        with pytest.raises(DivergenceError) as exc_info:
+            solver.solve(callback=self.poison)
+        timers = exc_info.value.result.timers
+        assert set(timers) == {"global", "local", "dual", "residual"}
+        assert all(total > 0 for total in timers.values())
 
     def test_guard_disabled_runs_to_budget(self):
         cfg = ADMMConfig(max_iter=20, divergence_guard=False)
