@@ -5,15 +5,17 @@ fault-free executions:
 
 * the **divergence guard** in the core loops — two scalar ``isfinite``
   tests per iteration on residual norms already being computed;
-* the **fault-tolerant runner** around the distributed loop — periodic
-  consensus checkpoints plus the crash/staleness bookkeeping, with no
-  fault plan attached;
+* **consensus checkpoints** in the distributed runner — a copy of
+  ``(z, lambda)`` every ``checkpoint_every`` iterations;
 * the serving engine's **injector/breaker gates** — one falsy check per
   iteration and one breaker lookup per batch.
 
 This benchmark measures the first two on a fixed iteration budget of the
 123-bus instance (the third rides inside the serving throughput
-benchmark).  Target: <5% wall-clock overhead each.
+benchmark).  The checkpoint cost compares the runner at
+``checkpoint_every=CHECKPOINT_EVERY`` with the same runner at
+``checkpoint_every=ITERATIONS + 1``, which keeps only the initial save.
+Target: <5% wall-clock overhead each.
 """
 
 import time
@@ -22,7 +24,6 @@ from _common import format_table, get_dec, report
 
 from repro.core import ADMMConfig, SolverFreeADMM
 from repro.parallel import CPU_CLUSTER_COMM, DistributedADMMRunner
-from repro.resilience import FaultTolerantADMMRunner
 
 INSTANCE = "ieee123"
 ITERATIONS = 400
@@ -35,13 +36,22 @@ REPEATS = 7
 FAIL_THRESHOLD = 0.15
 
 
-def _time_best(fn) -> float:
-    best = float("inf")
+def _time_best(*fns) -> list[float]:
+    """Best-of-REPEATS wall time of each callable, run interleaved so that a
+    slow spell on a shared machine hits every configuration alike."""
+    best = [float("inf")] * len(fns)
     for _ in range(REPEATS):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
+        for i, fn in enumerate(fns):
+            t0 = time.perf_counter()
+            fn()
+            best[i] = min(best[i], time.perf_counter() - t0)
     return best
+
+
+def _runner(dec, cfg, checkpoint_every):
+    return DistributedADMMRunner(
+        dec, N_RANKS, CPU_CLUSTER_COMM, cfg, checkpoint_every=checkpoint_every
+    )
 
 
 def run() -> dict:
@@ -53,29 +63,27 @@ def run() -> dict:
 
     # Warm every cache (factorizations, buckets) before timing anything.
     SolverFreeADMM(dec, guard_on).solve()
-    DistributedADMMRunner(dec, N_RANKS, CPU_CLUSTER_COMM, guard_on).solve()
+    _runner(dec, guard_on, CHECKPOINT_EVERY).solve()
 
-    serial_off = _time_best(lambda: SolverFreeADMM(dec, guard_off).solve())
-    serial_on = _time_best(lambda: SolverFreeADMM(dec, guard_on).solve())
-    plain = _time_best(
-        lambda: DistributedADMMRunner(dec, N_RANKS, CPU_CLUSTER_COMM, guard_on).solve()
+    serial_off, serial_on = _time_best(
+        lambda: SolverFreeADMM(dec, guard_off).solve(),
+        lambda: SolverFreeADMM(dec, guard_on).solve(),
     )
-    ft = _time_best(
-        lambda: FaultTolerantADMMRunner(
-            dec, N_RANKS, CPU_CLUSTER_COMM, guard_on, checkpoint_every=CHECKPOINT_EVERY
-        ).solve()
+    initial_only, periodic = _time_best(
+        lambda: _runner(dec, guard_on, ITERATIONS + 1).solve(),
+        lambda: _runner(dec, guard_on, CHECKPOINT_EVERY).solve(),
     )
 
     guard_overhead = serial_on / serial_off - 1.0
-    ft_overhead = ft / plain - 1.0
+    checkpoint_overhead = periodic / initial_only - 1.0
     rows = [
         ["serial, guard off", f"{serial_off * 1e3:.2f}", "baseline"],
         ["serial, guard on", f"{serial_on * 1e3:.2f}", f"{100 * guard_overhead:+.2f}%"],
-        ["distributed, plain", f"{plain * 1e3:.2f}", "baseline"],
+        ["distributed, initial checkpoint only", f"{initial_only * 1e3:.2f}", "baseline"],
         [
-            f"distributed, fault-tolerant (ckpt every {CHECKPOINT_EVERY})",
-            f"{ft * 1e3:.2f}",
-            f"{100 * ft_overhead:+.2f}%",
+            f"distributed, checkpoint every {CHECKPOINT_EVERY}",
+            f"{periodic * 1e3:.2f}",
+            f"{100 * checkpoint_overhead:+.2f}%",
         ],
     ]
     text = format_table(
@@ -89,24 +97,22 @@ def run() -> dict:
     report("resilience_overhead", text)
     return {
         "guard_overhead": guard_overhead,
-        "ft_overhead": ft_overhead,
+        "checkpoint_overhead": checkpoint_overhead,
     }
 
 
 def test_resilience_overhead_report(benchmark):
     stats = run()
     assert stats["guard_overhead"] < FAIL_THRESHOLD
-    assert stats["ft_overhead"] < FAIL_THRESHOLD
+    assert stats["checkpoint_overhead"] < FAIL_THRESHOLD
     dec = get_dec(INSTANCE)
     cfg = ADMMConfig(max_iter=50, record_history=False)
-    benchmark(
-        lambda: FaultTolerantADMMRunner(dec, N_RANKS, CPU_CLUSTER_COMM, cfg).solve()
-    )
+    benchmark(lambda: _runner(dec, cfg, CHECKPOINT_EVERY).solve())
 
 
 if __name__ == "__main__":
     stats = run()
     print(
         f"divergence-guard overhead {100 * stats['guard_overhead']:+.2f}%  "
-        f"fault-tolerant runner overhead {100 * stats['ft_overhead']:+.2f}%"
+        f"checkpoint overhead {100 * stats['checkpoint_overhead']:+.2f}%"
     )

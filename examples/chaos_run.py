@@ -1,4 +1,4 @@
-"""Chaos run: a seeded fault storm against the fault-tolerant runner.
+"""Chaos run: a seeded fault storm against the simulated-MPI runner.
 
 The distributed solver of the paper assumes healthy ranks; real clusters
 crash, straggle and drop packets.  This example runs the acceptance
@@ -7,7 +7,7 @@ scenario of docs/RESILIENCE.md end to end:
 * rank 2 **crashes** (fail-stop) at iteration 40,
 * rank 1 runs **10x slow** from iteration 10,
 
-against :class:`repro.resilience.FaultTolerantADMMRunner` with consensus
+against :class:`repro.parallel.DistributedADMMRunner` with consensus
 checkpoints every 25 iterations.  The runner detects the crash through the
 missed gather deadline, restores the iteration-25 checkpoint, reassigns the
 dead rank's components to the survivors — and, because checkpoints capture
@@ -28,12 +28,7 @@ from repro.decomposition import decompose
 from repro.feeders import ieee13
 from repro.formulation import build_centralized_lp
 from repro.parallel import CPU_CLUSTER_COMM, DistributedADMMRunner
-from repro.resilience import (
-    FaultPlan,
-    FaultTolerantADMMRunner,
-    RankCrash,
-    StragglerSlowdown,
-)
+from repro.resilience import FaultPlan, RankCrash, StragglerSlowdown
 
 N_RANKS = 4
 CHECKPOINT_EVERY = 25
@@ -54,7 +49,7 @@ def main() -> None:
     for fault in plan.faults:
         print(f"  - {fault}")
 
-    chaos = FaultTolerantADMMRunner(
+    chaos = DistributedADMMRunner(
         dec,
         N_RANKS,
         CPU_CLUSTER_COMM,

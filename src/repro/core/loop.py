@@ -55,7 +55,7 @@ class RewindSignal(Exception):
 
     Carries the iteration number and the consensus state ``(z, lam)`` to
     resume from; the engine truncates the history accordingly and
-    continues.  Used by the fault-tolerant runner to replay from the last
+    continues.  Used by the simulated-MPI runner to replay from the last
     checkpoint after a failover.
     """
 

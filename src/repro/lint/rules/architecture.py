@@ -62,7 +62,6 @@ TELEMETRY_SEAMS: frozenset[str] = frozenset(
         "core/loop.py",
         "parallel/runner.py",
         "resilience/faults.py",
-        "resilience/runner.py",
     }
 )
 

@@ -69,7 +69,7 @@ class BackendDiscipline(Rule):
         "fp32/CuPy execution, fp64-accumulated reductions and the GPU cost "
         "model stay honest"
     )
-    scope = ("core/", "serve/", "parallel/runner.py", "resilience/runner.py")
+    scope = ("core/", "serve/", "parallel/runner.py")
 
     def check(self, tree, lines, relpath):
         aliases = import_aliases(tree)

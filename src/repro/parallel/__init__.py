@@ -28,6 +28,7 @@ from repro.parallel.mpi_sim import SimComm
 from repro.parallel.runner import (
     DistributedADMMRunner,
     DistributedRunResult,
+    FailoverEvent,
     IterationTimeline,
 )
 
@@ -48,6 +49,7 @@ __all__ = [
     "SimComm",
     "DistributedADMMRunner",
     "DistributedRunResult",
+    "FailoverEvent",
     "IterationTimeline",
     "CompressedSolverFreeADMM",
     "TopKCompressor",

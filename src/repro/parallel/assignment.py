@@ -66,9 +66,9 @@ def rank_partition(
 
     ``offsets`` are the stacked slice boundaries of the decomposition
     (``dec.offsets``); the returned ``slices[r]`` indexes rank r's entries
-    of any stacked local vector (``z``, ``lam``, ``B x``).  Shared by the
-    plain distributed runner and the fault-tolerant runner (which rebuilds
-    the partition after a failover).
+    of any stacked local vector (``z``, ``lam``, ``B x``).  The distributed
+    runner builds its initial layout with it and rebuilds the partition
+    after a failover.
     """
     offsets = np.asarray(offsets, dtype=np.int64)
     components: list[list[int]] = [[] for _ in range(n_ranks)]
@@ -92,7 +92,7 @@ def rank_partition(
 def reassign_surviving(n_components: int, survivors: list[int]) -> np.ndarray:
     """Re-spread all components near-evenly over the surviving rank ids.
 
-    Recovery path of the fault-tolerant runner: after a rank failure the
+    Recovery path of the distributed runner: after a rank failure the
     dead rank's components must land on survivors.  The result reuses
     :func:`assign_even` over the compacted survivor set and maps the
     compact ids back to the actual (non-contiguous) surviving rank numbers,

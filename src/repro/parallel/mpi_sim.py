@@ -29,7 +29,7 @@ Callers that never set an injector observe the historical behavior exactly.
 Collectives additionally support skipped ranks: a ``None`` part in
 ``scatterv`` sends nothing to that rank, and ``gatherv(..., partial=True)``
 accepts contributions from a subset of ranks — both are what the
-fault-tolerant runner uses to route around crashed or stale ranks.
+distributed runner uses to route around crashed or stale ranks.
 """
 
 from __future__ import annotations
@@ -84,7 +84,7 @@ class SimComm:
         """Synchronize clocks to the slowest participant.
 
         With ``ranks`` given, only those ranks synchronize (the
-        fault-tolerant runner barriers the survivors, never a dead rank).
+        distributed runner barriers the survivors, never a dead rank).
         """
         if ranks is None:
             self.clocks[:] = self.clocks.max()

@@ -1,15 +1,13 @@
-"""Fault injection, fault-tolerant distributed execution, and serving
-resilience policies.
+"""Fault injection, consensus checkpoints, and serving resilience policies.
 
 Three layers, one theme — keep Algorithm 1 deterministic under failure:
 
 * :mod:`repro.resilience.faults` — seeded, declarative chaos plans
   (:class:`FaultPlan`) applied by a :class:`FaultInjector`;
-* :mod:`repro.resilience.checkpoint` / :mod:`repro.resilience.runner` —
-  consensus-state checkpoints and the
-  :class:`FaultTolerantADMMRunner`, which survives rank crashes
-  (reassign + restore + replay, bit-identical to the serial trajectory)
-  and tolerates stragglers synchronously or with bounded staleness;
+* :mod:`repro.resilience.checkpoint` — the consensus-state checkpoints
+  :class:`repro.parallel.DistributedADMMRunner` restores after a rank
+  crash (reassign + restore + replay, bit-identical to the serial
+  trajectory);
 * :mod:`repro.resilience.policy` — the serving-side knobs (retry with
   deterministic backoff jitter, per-topology circuit breaker, graceful
   degradation) consumed by :class:`repro.serve.ScenarioEngine`.
@@ -39,11 +37,6 @@ from repro.resilience.policy import (
     ResilienceConfig,
     RetryPolicy,
 )
-from repro.resilience.runner import (
-    FailoverEvent,
-    FaultTolerantADMMRunner,
-    FaultTolerantRunResult,
-)
 
 __all__ = [
     "FaultPlan",
@@ -65,7 +58,4 @@ __all__ = [
     "CLOSED",
     "OPEN",
     "HALF_OPEN",
-    "FaultTolerantADMMRunner",
-    "FaultTolerantRunResult",
-    "FailoverEvent",
 ]

@@ -11,7 +11,7 @@ Fault types
 -----------
 :class:`RankCrash`
     Rank r stops responding from iteration k onward (fail-stop).  The
-    fault-tolerant runner detects it through the missed gather deadline
+    distributed runner detects it through the missed gather deadline
     and fails over (checkpoint restore + component reassignment).
 :class:`StragglerSlowdown`
     Rank r's compute is multiplied by ``factor`` over an iteration window

@@ -477,6 +477,20 @@ class TestWorkerProtocol:
 
 
 class TestRepoCrossModuleClean:
+    def test_scoped_paths_name_existing_modules(self):
+        """A stale entry in a rule scope or the seam list would silently
+        narrow that rule: every one must name a module under src/repro."""
+        from repro.lint import all_rules
+        from repro.lint.rules.architecture import TELEMETRY_SEAMS
+
+        root = REPO / "src" / "repro"
+        paths = {p for rule in all_rules() for p in rule.scope} | TELEMETRY_SEAMS
+        missing = sorted(
+            p for p in paths
+            if not ((root / p).is_dir() if p.endswith("/") else (root / p).is_file())
+        )
+        assert missing == []
+
     def test_all_project_rules_clean_on_src(self):
         """R100–R103 pass over the real tree."""
         result = LintEngine(get_rules(["R100", "R101", "R102", "R103"])).run(

@@ -21,7 +21,6 @@ from repro.resilience import (
     CircuitBreaker,
     FaultInjector,
     FaultPlan,
-    FaultTolerantADMMRunner,
     MessageDelay,
     MessageDrop,
     NaNCorruption,
@@ -238,7 +237,9 @@ class TestFaultTolerantRunner:
     def test_clean_run_matches_plain_runner_exactly(self, small_dec):
         cfg = ADMMConfig(max_iter=80, record_history=True)
         plain = DistributedADMMRunner(small_dec, 3, CPU_CLUSTER_COMM, cfg).solve()
-        ft = FaultTolerantADMMRunner(small_dec, 3, CPU_CLUSTER_COMM, cfg).solve()
+        ft = DistributedADMMRunner(
+            small_dec, 3, CPU_CLUSTER_COMM, cfg, checkpoint_every=1
+        ).solve()
         np.testing.assert_array_equal(ft.result.x, plain.result.x)
         np.testing.assert_array_equal(ft.result.z, plain.result.z)
         np.testing.assert_array_equal(ft.result.lam, plain.result.lam)
@@ -262,7 +263,7 @@ class TestFaultTolerantRunner:
                 StragglerSlowdown(rank=1, factor=10.0, from_iteration=10),
             ),
         )
-        run = FaultTolerantADMMRunner(
+        run = DistributedADMMRunner(
             ieee13_dec, 4, CPU_CLUSTER_COMM, cfg, fault_plan=plan, checkpoint_every=25
         ).solve()
         # Bit-identical to the fault-free distributed trajectory.
@@ -292,7 +293,7 @@ class TestFaultTolerantRunner:
         plan = FaultPlan(seed=1, faults=(RankCrash(rank=1, at_iteration=20),))
 
         def run():
-            return FaultTolerantADMMRunner(
+            return DistributedADMMRunner(
                 small_dec, 3, CPU_CLUSTER_COMM, cfg, fault_plan=plan, checkpoint_every=10
             ).solve()
 
@@ -320,7 +321,7 @@ class TestFaultTolerantRunner:
         )
 
         def run():
-            return FaultTolerantADMMRunner(
+            return DistributedADMMRunner(
                 small_dec, 3, CPU_CLUSTER_COMM, cfg, fault_plan=plan, checkpoint_every=10
             ).solve()
 
@@ -338,7 +339,7 @@ class TestFaultTolerantRunner:
 
     def test_crash_recovery_converges(self, small_dec, small_ref):
         plan = FaultPlan(faults=(RankCrash(rank=2, at_iteration=30),))
-        run = FaultTolerantADMMRunner(
+        run = DistributedADMMRunner(
             small_dec,
             3,
             CPU_CLUSTER_COMM,
@@ -355,7 +356,7 @@ class TestFaultTolerantRunner:
         cfg = ADMMConfig(max_iter=60, eps_rel=1e-12)
 
         def run(**kw):
-            return FaultTolerantADMMRunner(
+            return DistributedADMMRunner(
                 small_dec, 3, CPU_CLUSTER_COMM, cfg, fault_plan=plan, **kw
             ).solve(max_iter=60)
 
@@ -376,7 +377,7 @@ class TestFaultTolerantRunner:
         plan = FaultPlan(
             faults=(StragglerSlowdown(rank=1, factor=10.0, until_iteration=1000),)
         )
-        run = FaultTolerantADMMRunner(
+        run = DistributedADMMRunner(
             small_dec,
             3,
             CPU_CLUSTER_COMM,
@@ -391,7 +392,7 @@ class TestFaultTolerantRunner:
         """A single dropped scatter message must not kill the run — the
         affected rank just reuses its stale slice for one round."""
         plan = FaultPlan(faults=(MessageDrop(src=0, dst=1, at_iteration=5),))
-        run = FaultTolerantADMMRunner(
+        run = DistributedADMMRunner(
             small_dec, 3, CPU_CLUSTER_COMM, ADMMConfig(max_iter=80), fault_plan=plan
         ).solve()
         assert run.stale_rounds >= 1
@@ -400,19 +401,68 @@ class TestFaultTolerantRunner:
     def test_rejects_aggregator_crash(self, small_dec):
         plan = FaultPlan(faults=(RankCrash(rank=0, at_iteration=5),))
         with pytest.raises(ValueError, match="aggregator"):
-            FaultTolerantADMMRunner(
+            DistributedADMMRunner(
                 small_dec, 3, CPU_CLUSTER_COMM, fault_plan=plan
             )
 
     def test_rejects_out_of_range_crash_rank(self, small_dec):
         plan = FaultPlan(faults=(RankCrash(rank=9, at_iteration=5),))
         with pytest.raises(ValueError, match="beyond"):
-            FaultTolerantADMMRunner(
+            DistributedADMMRunner(
                 small_dec, 3, CPU_CLUSTER_COMM, fault_plan=plan
             )
 
     def test_rejects_extensions(self, small_dec):
         with pytest.raises(ValueError, match="plain Algorithm 1"):
-            FaultTolerantADMMRunner(
+            DistributedADMMRunner(
                 small_dec, 2, CPU_CLUSTER_COMM, ADMMConfig(relaxation=1.5)
             )
+
+    def test_rejects_bad_periods(self, small_dec):
+        with pytest.raises(ValueError, match="checkpoint_every"):
+            DistributedADMMRunner(small_dec, 3, CPU_CLUSTER_COMM, checkpoint_every=0)
+        with pytest.raises(ValueError, match="staleness_bound"):
+            DistributedADMMRunner(small_dec, 3, CPU_CLUSTER_COMM, staleness_bound=-1)
+
+    def test_stale_crash_of_deferred_rank_fails_over_once(self, ieee13_dec):
+        """A 50x straggler keeps rank 1's contribution deferred in stale
+        mode, so its crash lands while a result is pending: the rank must
+        be failed over exactly once."""
+        plan = FaultPlan(
+            faults=(
+                StragglerSlowdown(rank=1, factor=50.0),
+                RankCrash(rank=1, at_iteration=20),
+            )
+        )
+        run = DistributedADMMRunner(
+            ieee13_dec,
+            4,
+            CPU_CLUSTER_COMM,
+            ADMMConfig(max_iter=80),
+            fault_plan=plan,
+            checkpoint_every=10,
+            staleness_bound=3,
+        ).solve()
+        assert [e.rank for e in run.failovers] == [1]
+        assert run.metrics.snapshot()["rank.failover"] == 1
+        assert run.survivors == (0, 2, 3)
+
+    def test_metrics_are_per_solve(self, ieee13_dec):
+        plan = FaultPlan(faults=(RankCrash(rank=2, at_iteration=20),))
+        runner = DistributedADMMRunner(
+            ieee13_dec,
+            4,
+            CPU_CLUSTER_COMM,
+            ADMMConfig(max_iter=60),
+            fault_plan=plan,
+            checkpoint_every=10,
+        )
+        first, second = runner.solve(), runner.solve()
+        assert first.metrics.snapshot() == second.metrics.snapshot()
+        for run in (first, second):
+            snap = run.metrics.snapshot()
+            assert snap["fault.injected"] == 1
+            assert snap["rank.failover"] == len(run.failovers) == 1
+            assert snap["resilience.restores"] == run.restores == 1
+            assert snap["resilience.checkpoints"] == run.checkpoints_saved
+            assert snap["resilience.stale_rounds"] == run.stale_rounds

@@ -301,6 +301,23 @@ class TestInstrumentationIntegration:
         # Every rank contributed compute spans.
         assert {e.tid for e in cluster if e.name == "rank.local_update"} == set(range(4))
 
+    def test_runner_emits_one_failure_detection_span(self, ieee13_dec):
+        from repro.parallel import CPU_CLUSTER_COMM, DistributedADMMRunner
+        from repro.resilience import FaultPlan, RankCrash
+
+        tracer = Tracer()
+        plan = FaultPlan(faults=(RankCrash(rank=2, at_iteration=5),))
+        DistributedADMMRunner(
+            ieee13_dec, 4, CPU_CLUSTER_COMM, fault_plan=plan, tracer=tracer
+        ).solve(max_iter=12)
+        events = tracer.events()
+        (at,) = [i for i, e in enumerate(events) if e.name == "resilience.detect_failure"]
+        detect = events[at]
+        assert (detect.track, detect.tid, detect.dur_s) == (TRACK_CLUSTER, 0, 1e-3)
+        # Rank 2 computed before its crash and never after the detection.
+        rank2 = [i for i, e in enumerate(events) if e.name == "rank.local_update" and e.tid == 2]
+        assert rank2 and max(rank2) < at
+
     def test_kernel_sim_emits_modeled_span(self):
         from repro.gpu.device import A100
         from repro.gpu.kernel_sim import simulate_local_update
