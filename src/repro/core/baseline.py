@@ -18,16 +18,24 @@ Two local execution modes:
 * ``"interior_point"`` (default): the authentic path; calls the dense
   interior-point solver of :mod:`repro.qp` for every component, so measured
   wall time reflects real solver cost.
-* ``"projection"``: a fast exact path (semismooth-Newton projection) that
-  produces the *same iterate sequence* — used to count iterations on large
-  instances where running thousands of solver-based iterations is
-  impractical on this machine.  Timing benchmarks never use it.
+* ``"projection"``: a fast exact path that produces the *same iterate
+  sequence*: every component's box-QP is the Euclidean projection of its
+  target, computed for all components at once by the batched
+  semismooth-Newton :class:`~repro.qp.projection.BoxAffineProjector`
+  (stacked Newton passes per width bucket, a per-component cache of the
+  Jacobian inverse, and the scalar :func:`~repro.qp.projection.
+  project_box_affine` for any component a full step cannot finish).  The
+  qp rung of :mod:`repro.methods`, its serving batches and the layered
+  benchmark's ``solve-qp-ieee13`` run and time it; Table V counts the
+  benchmark's iterations with it.
 
 The iteration skeleton is :class:`repro.core.loop.ADMMLoop` and the
 global/dual updates are the shared ones of :mod:`repro.core.consensus`
 (unclipped); this class supplies the benchmark's local update.  The
-per-component QP solves are always fp64 (SciPy); under an fp32 backend
-only the consensus state is reduced precision.
+per-component QP solves and projections are always fp64 on the host;
+under an fp32 backend only the consensus state is reduced precision.  A
+component whose target is non-finite gets a NaN local iterate without a
+solver call, so the loop's divergence guard raises.
 """
 
 from __future__ import annotations
@@ -40,7 +48,7 @@ from repro.core.config import ADMMConfig
 from repro.core.consensus import ConsensusADMM, ScenarioStack
 from repro.decomposition.decomposed import DecomposedOPF
 from repro.qp.interior_point import solve_qp_box_eq
-from repro.qp.projection import project_box_affine
+from repro.qp.projection import BoxAffineProjector
 
 
 class BenchmarkADMM(ConsensusADMM):
@@ -88,26 +96,29 @@ class BenchmarkADMM(ConsensusADMM):
             sl = slice(int(offsets[j]), int(offsets[j + 1]))
             self.qps.append((sl, a, b, lbl[sl], ubl[sl]))
         self._per_scenario = base.n_components
+        #: The batched exact projections of ``projection`` mode.
+        self.projector = (
+            BoxAffineProjector(local, lbl, ubl) if local_mode == "projection" else None
+        )
 
     # ------------------------------------------------------------------
-    def solve_local(self, s: int, v_s: np.ndarray, rho: float) -> np.ndarray:
-        """Solve stacked component ``s``'s box-constrained QP for target ``v_s``."""
-        _, a, b, lb, ub = self.qps[s]
-        if self.local_mode == "projection":
-            return project_box_affine(v_s, a, b, lb, ub)
-        n_s = a.shape[1]
-        result = solve_qp_box_eq(
-            rho * np.eye(n_s), -rho * v_s, a, b, lb, ub, tol=self.config.qp_tol
-        )
-        return result.x
-
     def local_update(self, bx, lam, rho):
         v = bx + lam / self.rho_vectors(rho)[1]
-        z = self.backend.empty(self.n_local)
+        b = self.backend
+        if self.projector is not None:
+            return b.asarray(self.projector.project(b.to_numpy(v)))
+        z = b.empty(self.n_local)
         rho_k = self.rho_k
-        for s, qp in enumerate(self.qps):
+        for s, (sl, a, bs, lb, ub) in enumerate(self.qps):
+            v_s = v[sl]
+            if not np.isfinite(v_s).all():
+                z[sl] = np.nan
+                continue
             rho_s = rho if rho_k is None else rho_k[s // self._per_scenario]
-            z[qp[0]] = self.solve_local(s, v[qp[0]], rho_s)
+            z[sl] = solve_qp_box_eq(
+                rho_s * np.eye(a.shape[1]), -rho_s * v_s, a, bs, lb, ub,
+                tol=self.config.qp_tol,
+            ).x
         return z
 
     def span_args(self) -> dict:

@@ -33,6 +33,7 @@ import scipy.linalg as sla
 
 from repro.backend import Backend, get_backend
 from repro.decomposition.decomposed import DecomposedOPF
+from repro.qp.projection import bucket_width
 from repro.utils.exceptions import DecompositionError
 
 
@@ -60,14 +61,6 @@ def projection_data(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarra
     mmat = np.eye(n) - a.T @ g
     bbar = a.T @ sla.cho_solve(cho, b, check_finite=False)
     return mmat, bbar
-
-
-def _bucket_width(n: int, minimum: int = 4) -> int:
-    """Power-of-two padding width for a component of size ``n``."""
-    w = minimum
-    while w < n:
-        w <<= 1
-    return w
 
 
 @dataclass
@@ -159,7 +152,7 @@ class BatchedLocalSolver:
         offsets = np.asarray(offsets, dtype=np.int64)
         if projections is not None and len(projections) != len(comps):
             raise ValueError("projections must align with comps")
-        widths = [_bucket_width(c.n_vars) for c in comps]
+        widths = [bucket_width(c.n_vars) for c in comps]
         by_width: dict[int, list[int]] = {}
         for s, w in enumerate(widths):
             by_width.setdefault(w, []).append(s)

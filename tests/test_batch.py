@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core.batch import BatchedLocalSolver, _bucket_width, projection_data
+from repro.core.batch import BatchedLocalSolver, projection_data
+from repro.qp.projection import bucket_width
 from repro.utils.exceptions import DecompositionError
 
 
@@ -53,10 +54,10 @@ class TestProjectionData:
 
 class TestBucketing:
     def test_widths_power_of_two(self):
-        assert _bucket_width(1) == 4
-        assert _bucket_width(4) == 4
-        assert _bucket_width(5) == 8
-        assert _bucket_width(33) == 64
+        assert bucket_width(1) == 4
+        assert bucket_width(4) == 4
+        assert bucket_width(5) == 8
+        assert bucket_width(33) == 64
 
     def test_bucket_cover_all_components(self, ieee13_dec):
         solver = BatchedLocalSolver.from_decomposition(ieee13_dec)

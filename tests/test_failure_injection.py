@@ -148,6 +148,31 @@ class TestDivergenceGuard:
             solver.solve(lam0=lam0)
         assert exc_info.value.iteration == 1
 
+    @pytest.mark.parametrize("mode", ["projection", "interior_point"])
+    def test_benchmark_admm_nan_seed_on_real_box_qps(self, ieee13_dec, mode):
+        """On ieee13 every local step is a genuine box-QP: a NaN target must
+        come back NaN without a Newton or interior-point attempt (which
+        would raise QPSolverError), so the guard fires."""
+        solver = BenchmarkADMM(ieee13_dec, ADMMConfig(max_iter=100), local_mode=mode)
+        with pytest.raises(DivergenceError, match="non-finite iterate") as exc_info:
+            solver.solve(lam0=np.full(solver.n_local, np.nan))
+        assert exc_info.value.iteration == 1
+        assert exc_info.value.result is None
+
+    @pytest.mark.parametrize("mode", ["projection", "interior_point"])
+    def test_benchmark_admm_midway_corruption_on_real_box_qps(self, ieee13_dec, mode):
+        solver = BenchmarkADMM(
+            ieee13_dec, ADMMConfig(max_iter=100, eps_rel=1e-12), local_mode=mode
+        )
+        with pytest.raises(DivergenceError) as exc_info:
+            solver.solve(callback=self.poison)
+        err = exc_info.value
+        assert err.iteration == 6
+        assert err.result.iterations == 5
+        assert np.isfinite(err.result.x).all()
+        assert np.isfinite(err.result.z).all()
+        assert np.isfinite(err.result.lam).all()
+
 
 class TestBatchDegeneracy:
     def test_wide_flat_component(self, rng):

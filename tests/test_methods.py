@@ -101,6 +101,15 @@ class TestParityIEEE13:
         assert [p["method"] for p in payload] == ["linearized", "qp", "socp"]
         assert all(p["within_tier"] for p in payload)
 
+    def test_qp_trajectory_is_pinned(self, ladder13):
+        """The qp rung's spec-tier run of BENCH_methods.json: the batched
+        projections keep the iteration count and the objective."""
+        if default_backend().name != "numpy64":
+            pytest.skip("numpy64 pin: a mixed-precision facade solve refines in fp64")
+        qp = next(r for r in ladder13 if r.method == "qp")
+        assert qp.iterations == 5430
+        assert qp.objective == pytest.approx(0.702197196474521, rel=0, abs=1e-9)
+
 
 class TestParityIEEE34:
     """The ladder generalizes beyond the feeder its tiers were tuned on."""
