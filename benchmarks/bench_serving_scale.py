@@ -98,10 +98,8 @@ def _run_fleet(requests, n_workers: int) -> dict:
         responses = fleet.serve(requests)
         snap = fleet.snapshot()
     wall_s = time.perf_counter() - t0
-    busy = {
-        wid: ws.get("busy_cpu_s", 0.0) for wid, ws in snap["workers"].items()
-    }
-    served = {wid: ws.get("served", 0) for wid, ws in snap["workers"].items()}
+    busy = {wid: ws["worker.busy_cpu_s"] for wid, ws in snap["workers"].items()}
+    served = {wid: ws["worker.served"] for wid, ws in snap["workers"].items()}
     makespan_s = max(busy.values())
     statuses: dict[str, int] = {}
     for r in responses:

@@ -12,7 +12,7 @@ docs/SERVING.md (fleet section) end to end, in deterministic sim mode:
   re-routes its un-served requests to the survivor.
 
 Because the crash fires at a batch boundary (served work is already
-answered, queued work is requeued), **no accepted request is lost** —
+answered, queued work is re-routed), **no accepted request is lost** —
 and with warm-starting disabled the re-routed solves are bit-identical
 to a fault-free run, which the script verifies scenario for scenario.
 

@@ -561,7 +561,9 @@ def cmd_serve_fleet(args) -> int:
             responses = fleet.responses
         else:
             responses = fleet.serve(requests)
-        snap = fleet.snapshot()
+    # After close: every live worker's engine snapshot has arrived with its
+    # DONE, so both modes report the same per-worker schema.
+    snap = fleet.snapshot()
     if tracer is not None:
         tracer.save(args.trace)
         print(f"trace ({len(tracer)} spans) written to {args.trace}")
@@ -579,8 +581,7 @@ def cmd_serve_fleet(args) -> int:
     fleet_rows = [[k, v] for k, v in snap.items() if k != "workers"]
     print(format_table(["metric", "value"], fleet_rows, title="fleet metrics"))
     worker_rows = [
-        [wid, ws.get("worker.served", ws.get("served", "-")),
-         "yes" if ws.get("worker.alive", True) else "no"]
+        [wid, ws["worker.served"], "yes" if ws["worker.alive"] else "no"]
         for wid, ws in snap["workers"].items()
     ]
     print(format_table(["worker", "served", "alive"], worker_rows, title="workers"))

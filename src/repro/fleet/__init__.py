@@ -8,7 +8,7 @@ the per-worker cache locality the engine's performance depends on:
   ``topology_key()`` so each feeder's stream sticks to one worker.
 * :mod:`repro.fleet.worker` — one engine per worker, as a deterministic
   in-process :class:`SimWorker` or a real ``multiprocessing``
-  :class:`ProcessWorker`.
+  :class:`ProcessWorker`; both post the same worker messages.
 * :mod:`repro.fleet.frontend` — the :class:`FleetFrontend`: routing,
   spill on full queues, per-worker circuit breakers, dead-worker
   failover (re-route, never drop), structured backpressure.

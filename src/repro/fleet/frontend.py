@@ -19,9 +19,11 @@ pieces reused from :mod:`repro.resilience`:
   had accepted but not completed is re-routed to the survivors — no
   accepted request is ever dropped.
 
-Two wiring modes, same API (see :mod:`repro.fleet.worker`): ``sim``
-steps in-process workers deterministically; ``process`` runs real
-``multiprocessing`` workers and detects genuinely dead processes.
+Two worker transports, one protocol (see :mod:`repro.fleet.worker`):
+``sim`` steps in-process workers deterministically; ``process`` runs real
+``multiprocessing`` workers and detects genuinely dead processes.  The
+mode decides only which worker class and response queue the frontend
+builds; everything else reads the same worker messages either way.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ import multiprocessing
 import queue as queue_mod
 import time
 from dataclasses import dataclass, replace
+from functools import partial
 
 from repro.fleet.routing import DEFAULT_REPLICAS, HashRing
 from repro.fleet.worker import (
@@ -40,6 +43,7 @@ from repro.fleet.worker import (
     WORKER_HEARTBEAT,
     WORKER_READY,
     WORKER_STATE,
+    LocalQueue,
     ProcessWorker,
     SimWorker,
     WorkerQueueFull,
@@ -91,8 +95,8 @@ class FleetConfig:
 
     ``mode`` is :data:`MODE_SIM` (in-process, deterministic) or
     :data:`MODE_PROCESS` (real ``multiprocessing`` workers).
-    ``response_timeout_s`` bounds how long the process-mode frontend
-    waits for *any* progress before declaring the fleet stalled.
+    ``response_timeout_s`` bounds how long the frontend waits for *any*
+    progress before declaring the fleet stalled.
     """
 
     n_workers: int = 2
@@ -196,65 +200,62 @@ class FleetFrontend:
         self._dead_handled: set[str] = set()
         self._responses: list[OPFResponse] = []
         self._latency = self.metrics.histogram("fleet.latency_s")
-        self._worker_stats: dict[str, dict] = {}
+        #: worker_id -> BATCH stats summed over every incarnation.
+        self._worker_stats = {
+            wid: {"worker.busy_cpu_s": 0.0, "worker.busy_wall_s": 0.0, "worker.served": 0}
+            for wid in self.config.worker_ids()
+        }
+        #: worker_id -> moving average of its BATCH wall time: the
+        #: retry hint of a full worker (0.0 = no batch served yet).
+        self._batch_wall_s = dict.fromkeys(self.config.worker_ids(), 0.0)
         self._final_snapshots: dict[str, dict] = {}
         #: topology_key -> feeder of every request ever routed; the rewarm
         #: path uses it to know which topologies a worker's ring slice owns
         #: (and which feeder rebuilds each plan).
         self._topologies: dict[str, str] = {}
-        #: worker_id -> clock time of the last liveness signal (process
-        #: mode: heartbeat/batch messages; sim mode: maintained by the
-        #: supervisor's virtual clock instead).
+        #: worker_id -> clock time of the last liveness signal: stamped on
+        #: every worker message (the sim supervisor re-stamps it on its
+        #: virtual clock).
         self.last_heartbeat: dict[str, float] = {}
+        self._ready: set[str] = set()
         self._state_replies: dict[str, dict] = {}
         self._closed = False
 
-        self.workers: dict = {}
-        self._mp_ctx = None
-        self._response_q = None
-        if self.config.mode == MODE_SIM:
-            for wid in self.config.worker_ids():
-                self.workers[wid] = SimWorker(
-                    self.config.spec_for(wid, fault_plan), tracer=self.tracer
-                )
+        # The one mode decision: which worker class posts onto which queue.
+        if self.config.mode == MODE_PROCESS:
+            ctx = multiprocessing.get_context()
+            self._response_q = ctx.Queue()
+            self._spawn = partial(ProcessWorker, ctx=ctx, response_q=self._response_q)
         else:
-            self._mp_ctx = multiprocessing.get_context()
-            self._response_q = self._mp_ctx.Queue()
-            for wid in self.config.worker_ids():
-                self.workers[wid] = ProcessWorker(
-                    self.config.spec_for(wid, fault_plan),
-                    self._mp_ctx,
-                    self._response_q,
-                )
-            self._await_ready()
+            self._response_q = LocalQueue()
+            self._spawn = partial(
+                SimWorker, response_q=self._response_q, tracer=self.tracer
+            )
+        self.workers: dict = {
+            wid: self._spawn(self.config.spec_for(wid, fault_plan))
+            for wid in self.config.worker_ids()
+        }
+        self._await(self.workers, self._ready, "READY")
 
     # -- lifecycle ------------------------------------------------------
-    def _await_ready(self, pending: set[str] | None = None) -> None:
-        """Block until the given worker processes (default: all) have
-        built their engines.  Other worker messages arriving meanwhile —
-        batches, heartbeats, deaths of *other* workers — are dispatched
-        normally rather than dropped, so a restart-time ready-wait can
-        never lose responses."""
-        pending = set(self.workers) if pending is None else set(pending)
+    def _await(self, wids, replied, what: str) -> None:
+        """Block until every worker in ``wids`` is in ``replied`` (a set or
+        dict that :meth:`_dispatch` fills).  Other worker messages arriving
+        meanwhile — batches, heartbeats, deaths of *other* workers — are
+        dispatched normally rather than dropped, so a restart's ready-wait
+        or a rewarm's state-wait can never lose responses."""
         deadline = time.monotonic() + self.config.response_timeout_s
-        while pending:
-            dead = [wid for wid in pending if not self.workers[wid].alive]
+        while pending := sorted(w for w in wids if w not in replied):
+            dead = [w for w in pending if not self._alive(w)]
             if dead:
-                raise ReproError(f"fleet workers died during startup: {sorted(dead)}")
-            timeout = min(1.0, deadline - time.monotonic())
+                raise ReproError(f"fleet workers {dead} died awaiting {what}")
+            timeout = deadline - time.monotonic()
             if timeout <= 0:
-                raise ReproError(
-                    f"fleet workers never became ready: {sorted(pending)}"
-                )
+                raise ReproError(f"fleet workers {pending} never sent {what}")
             try:
-                kind, wid, payload = self._response_q.get(timeout=timeout)
+                self._dispatch(*self._response_q.get(timeout=min(0.25, timeout)))
             except queue_mod.Empty:
                 continue
-            if kind == WORKER_READY:
-                pending.discard(wid)
-                self.last_heartbeat[wid] = self._clock()
-            else:
-                self._dispatch(kind, wid, payload)
 
     def close(self) -> None:
         """Shut the fleet down; answers any still-outstanding request with
@@ -263,17 +264,11 @@ class FleetFrontend:
         if self._closed:
             return
         self._closed = True
-        if self.config.mode == MODE_PROCESS:
-            for worker in self.workers.values():
-                worker.shutdown()
-            # Collect any final snapshots the children managed to send.
-            while True:
-                try:
-                    kind, wid, payload = self._response_q.get_nowait()
-                except (queue_mod.Empty, OSError):
-                    break
-                self._dispatch(kind, wid, payload)
-            self._response_q.close()
+        for worker in self.workers.values():
+            worker.shutdown()
+        # Collect the final snapshots the workers managed to send.
+        self._drain_response_q(timeout=0.0)
+        self._response_q.close()
         for wid in sorted(self._outstanding):
             for req in list(self._outstanding[wid].values()):
                 self._finalize(
@@ -347,17 +342,15 @@ class FleetFrontend:
         )
 
     def _enqueue(self, wid: str, request: OPFRequest) -> None:
-        worker = self.workers[wid]
-        if self.config.mode == MODE_SIM:
-            worker.submit(request)
-        else:
-            # The parent enforces the depth bound: a mp.Queue has no
-            # useful cross-process length, but outstanding == queued +
-            # in-flight, which is the quantity backpressure should bound.
-            depth = len(self._outstanding[wid])
-            if depth >= self.config.queue_size:
-                raise WorkerQueueFull(wid, depth, self.config.queue_size)
-            worker.send(request)
+        # The ledger is the depth bound: outstanding == queued + in
+        # flight, which is the quantity backpressure should bound (a
+        # mp.Queue has no useful cross-process length anyway).
+        depth = len(self._outstanding[wid])
+        if depth >= self.config.queue_size:
+            raise WorkerQueueFull(
+                wid, depth, self.config.queue_size, self._batch_wall_s[wid]
+            )
+        self.workers[wid].send(request)
 
     def _gauge_depths(self) -> None:
         for wid in self.workers:
@@ -396,18 +389,18 @@ class FleetFrontend:
         self._responses.append(response)
         return True
 
-    def _reroute(self, dead_wid: str, recovered: list[OPFRequest]) -> None:
+    def _reroute(self, recovered: list[OPFRequest]) -> None:
         """Re-route a dead worker's accepted-but-unserved requests to the
-        survivors, in their original order, by the post-removal ring."""
+        survivors, in their original order, by the post-removal ring:
+        each survivor adopts its share as one ordered list."""
+        shares: dict[str, list[OPFRequest]] = {}
         for req in recovered:
             target = self.ring.route(req.topology_key())
-            worker = self.workers[target]
-            if self.config.mode == MODE_SIM:
-                worker.requeue([req])
-            else:
-                worker.send(req)
+            shares.setdefault(target, []).append(req)
             self._outstanding[target][req.request_id] = req
             self.metrics.counter("fleet.rerouted").inc()
+        for target, share in shares.items():
+            self.workers[target].adopt(share)
 
     def _handle_deaths(self) -> None:
         """Detect newly dead workers; remove them from the ring and fail
@@ -421,24 +414,16 @@ class FleetFrontend:
             survivors = [
                 w for w in self.workers if w != wid and self._alive(w)
             ]
-            recovered: list[OPFRequest] = []
-            if self.config.mode == MODE_SIM:
-                recovered.extend(self.workers[wid].drain_pending())
-            # Anything accepted but unaccounted for (process mode: queued
-            # in the dead child, or in flight when it died).
-            drained_ids = {r.request_id for r in recovered}
-            recovered.extend(
-                req
-                for rid, req in self._outstanding[wid].items()
-                if rid not in drained_ids
-            )
+            # Everything accepted but unanswered: queued in the dead
+            # worker, or in flight when it died.
+            recovered = list(self._outstanding[wid].values())
             if survivors:
                 self._outstanding[wid] = {}
                 self.ring.remove(wid)
                 with self.tracer.span(
                     "fleet.failover", cat="fleet", worker=wid, rerouted=len(recovered)
                 ):
-                    self._reroute(wid, recovered)
+                    self._reroute(recovered)
             else:
                 # Total fleet loss: nothing to route to — answer honestly.
                 # (_finalize pops each id off the dead worker's ledger.)
@@ -458,22 +443,22 @@ class FleetFrontend:
     def _outstanding_total(self) -> int:
         return sum(len(ledger) for ledger in self._outstanding.values())
 
-    def poll(self) -> list[OPFResponse]:
-        """One non-blocking progress round; returns responses completed
-        during it.  Sim mode: each live worker serves one batch (sorted
-        worker order, so interleavings are deterministic).  Process mode:
-        drain whatever the response queue holds right now."""
+    def poll(self, timeout: float = 0.0) -> list[OPFResponse]:
+        """One progress round; returns responses completed during it.
+
+        Every worker steps in sorted order (a sim worker serves one
+        batch, so interleavings are deterministic; a process worker's
+        step is a no-op) and its messages are dispatched right after its
+        step.  Then the response queue is drained, waiting up to
+        ``timeout`` seconds for the first message (a sim queue never
+        waits), and dead workers are failed over.
+        """
         before = len(self._responses)
         with self.tracer.span("fleet.poll", cat="fleet"):
-            if self.config.mode == MODE_SIM:
-                for wid in sorted(self.workers):
-                    worker = self.workers[wid]
-                    if not worker.alive:
-                        continue
-                    for resp in worker.step():
-                        self._finalize(wid, resp)
-            else:
-                self._drain_response_q(timeout=0.0)
+            for wid in sorted(self.workers):
+                if self.workers[wid].step():
+                    self._drain_response_q(timeout=0.0)
+            self._drain_response_q(timeout)
             self._handle_deaths()
         return self._responses[before:]
 
@@ -495,55 +480,44 @@ class FleetFrontend:
     def _dispatch(self, kind: str, wid: str, payload) -> None:
         """Route one worker message to its handler (single place every
         drain loop — poll, ready-wait, state-wait, close — goes through,
-        so no loop can drop a message kind it did not expect)."""
+        so no loop can drop a message kind it did not expect).  Every
+        message is a liveness signal."""
+        self.last_heartbeat[wid] = self._clock()
         if kind == WORKER_BATCH:
-            self.last_heartbeat[wid] = self._clock()
-            response_dicts, stats = payload
-            agg = self._worker_stats.setdefault(
-                wid, {"busy_cpu_s": 0.0, "busy_wall_s": 0.0, "served": 0}
+            responses, stats = payload
+            for k, v in stats.items():
+                self._worker_stats[wid][f"worker.{k}"] += v
+            # The engine queue's backpressure estimate, kept per worker id.
+            wall = self._batch_wall_s[wid]
+            self._batch_wall_s[wid] = (
+                stats["busy_wall_s"] if wall == 0.0
+                else 0.8 * wall + 0.2 * stats["busy_wall_s"]
             )
-            for k in agg:
-                agg[k] += stats[k]
-            for d in response_dicts:
-                self._finalize(wid, OPFResponse(**d))
+            for resp in responses:
+                self._finalize(wid, resp)
         elif kind == WORKER_HEARTBEAT:
-            self.last_heartbeat[wid] = self._clock()
             self.metrics.counter("fleet.heartbeat.received").inc()
         elif kind == WORKER_STATE:
-            self.last_heartbeat[wid] = self._clock()
             self._state_replies[wid] = payload
         elif kind == WORKER_DONE:
             self._final_snapshots[wid] = payload
         elif kind == WORKER_READY:
-            # A late READY (e.g. surfaced by a drain racing a restart's
-            # ready-wait) is only a liveness signal at this point.
-            self.last_heartbeat[wid] = self._clock()
+            self._ready.add(wid)
 
     def run(self) -> list[OPFResponse]:
         """Drive the fleet until every accepted request is answered;
         returns the responses produced by this call."""
         before = len(self._responses)
-        if self.config.mode == MODE_SIM:
-            while True:
-                self.poll()
-                if self._outstanding_total() == 0 and not any(
-                    len(w) for w in self.workers.values() if w.alive
-                ):
-                    break
-        else:
-            deadline = time.monotonic() + self.config.response_timeout_s
-            while self._outstanding_total() > 0:
-                served_before = len(self._responses)
-                self._drain_response_q(timeout=0.25)
-                self._handle_deaths()
-                if len(self._responses) > served_before:
-                    deadline = time.monotonic() + self.config.response_timeout_s
-                elif time.monotonic() > deadline:
-                    raise ReproError(
-                        f"fleet stalled: {self._outstanding_total()} requests "
-                        f"outstanding with no progress for "
-                        f"{self.config.response_timeout_s:.0f}s"
-                    )
+        deadline = time.monotonic() + self.config.response_timeout_s
+        while self._outstanding_total() > 0:
+            if self.poll(timeout=0.25):
+                deadline = time.monotonic() + self.config.response_timeout_s
+            elif time.monotonic() > deadline:
+                raise ReproError(
+                    f"fleet stalled: {self._outstanding_total()} requests "
+                    f"outstanding with no progress for "
+                    f"{self.config.response_timeout_s:.0f}s"
+                )
         return self._responses[before:]
 
     def serve(self, requests: list[OPFRequest]) -> list[OPFResponse]:
@@ -574,14 +548,7 @@ class FleetFrontend:
         Idempotent: killing an already-dead worker is a no-op, so a
         supervisor race (worker crashed between its health check and the
         kill) cannot double-trigger death handling."""
-        worker = self.workers[worker_id]
-        if not worker.alive:
-            return
-        if self.config.mode == MODE_SIM:
-            worker.alive = False
-        else:
-            worker.process.terminate()
-            worker.process.join(timeout=5.0)
+        self.workers[worker_id].kill()
 
     # -- restart / rewarm / drain hooks ---------------------------------
     def restart_worker(
@@ -603,14 +570,10 @@ class FleetFrontend:
             self.config.spec_for(worker_id, None),
             crash_after_served=crash_after_served,
         )
-        if self.config.mode == MODE_SIM:
-            self.workers[worker_id] = SimWorker(spec, tracer=self.tracer)
-        else:
-            worker.shutdown()  # reap the corpse + close its request queue
-            self.workers[worker_id] = ProcessWorker(
-                spec, self._mp_ctx, self._response_q
-            )
-            self._await_ready({worker_id})
+        worker.shutdown()  # reap the corpse + close its request queue
+        self._ready.discard(worker_id)
+        self.workers[worker_id] = self._spawn(spec)
+        self._await({worker_id}, self._ready, "READY")
         self.ring.add(worker_id)
         self._dead_handled.discard(worker_id)
         self._outstanding.setdefault(worker_id, {})
@@ -649,8 +612,8 @@ class FleetFrontend:
             "fleet.rewarm", cat="fleet", worker=worker_id, donors=len(donors)
         ):
             for donor in sorted(donors):
-                payload = self._export_state(donor, donors[donor])
-                imported = self._import_state(worker_id, payload)
+                payload = self._control(donor, CTRL_EXPORT, donors[donor])
+                imported = self._control(worker_id, CTRL_IMPORT, payload)
                 for k in counts:
                     counts[k] += imported[k]
         self.metrics.counter("fleet.rewarm.topologies").inc(counts["topologies"])
@@ -662,8 +625,8 @@ class FleetFrontend:
         (the graceful-drain path: the leaving worker is the donor)."""
         if not keys:
             return {"topologies": 0, "projections": 0, "warm_entries": 0}
-        payload = self._export_state(from_wid, keys)
-        return self._import_state(to_wid, payload)
+        payload = self._control(from_wid, CTRL_EXPORT, set(keys))
+        return self._control(to_wid, CTRL_IMPORT, payload)
 
     def remove_worker(self, worker_id: str) -> None:
         """Forget a worker entirely (the end of a graceful drain).
@@ -678,10 +641,8 @@ class FleetFrontend:
             )
         if worker_id in self.ring.workers():
             self.ring.remove(worker_id)
-        worker = self.workers.pop(worker_id)
-        if self.config.mode == MODE_PROCESS:
-            worker.shutdown()
-            self._drain_response_q(timeout=0.0)
+        self.workers.pop(worker_id).shutdown()
+        self._drain_response_q(timeout=0.0)
         self._outstanding.pop(worker_id, None)
         self.breakers.pop(worker_id, None)
         self._dead_handled.discard(worker_id)
@@ -689,50 +650,25 @@ class FleetFrontend:
         self.metrics.gauge(f"fleet.queue_depth.{worker_id}").set(0)
         self._gauge_depths()
 
-    def _export_state(self, wid: str, keys: set[str]) -> dict:
-        worker = self.workers[wid]
-        if self.config.mode == MODE_SIM:
-            return worker.export_state(set(keys))
-        worker.send_control(CTRL_EXPORT, set(keys))
-        return self._await_state(wid)
-
-    def _import_state(self, wid: str, payload: dict) -> dict:
-        worker = self.workers[wid]
-        if self.config.mode == MODE_SIM:
-            return worker.import_state(payload)
-        worker.send_control(CTRL_IMPORT, payload)
-        return self._await_state(wid)
-
-    def _await_state(self, wid: str) -> dict:
-        """Block until ``wid`` answers a control verb, dispatching every
-        other worker message normally along the way."""
-        deadline = time.monotonic() + self.config.response_timeout_s
-        while True:
-            reply = self._state_replies.pop(wid, None)
-            if reply is not None:
-                return reply
-            if not self._alive(wid):
-                raise ReproError(f"worker {wid} died during state handoff")
-            timeout = deadline - time.monotonic()
-            if timeout <= 0:
-                raise ReproError(f"worker {wid} state handoff timed out")
-            try:
-                kind, src, payload = self._response_q.get(timeout=min(0.25, timeout))
-            except queue_mod.Empty:
-                continue
-            self._dispatch(kind, src, payload)
+    def _control(self, wid: str, verb: str, arg) -> dict:
+        """Send one control verb and wait for the worker's STATE reply."""
+        self.workers[wid].send_control(verb, arg)
+        self._await({wid}, self._state_replies, "STATE")
+        return self._state_replies.pop(wid)
 
     def snapshot(self) -> dict:
-        """Fleet-level metrics plus per-worker engine snapshots."""
+        """Fleet-level metrics plus one entry per worker, the same schema
+        in both modes: ``worker.served`` / ``worker.busy_cpu_s`` /
+        ``worker.busy_wall_s`` summed from its BATCH stats over every
+        incarnation, ``worker.alive`` (up now, or shut down cleanly by
+        :meth:`close`), and the engine snapshot once its DONE arrived."""
         snap = self.metrics.snapshot()
-        workers: dict[str, dict] = {}
-        for wid in sorted(self.workers):
-            if self.config.mode == MODE_SIM:
-                workers[wid] = self.workers[wid].snapshot()
-            else:
-                stats = dict(self._worker_stats.get(wid, {}))
-                stats["worker.alive"] = self._alive(wid)
-                stats.update(self._final_snapshots.get(wid, {}))
-                workers[wid] = stats
-        snap["workers"] = workers
+        snap["workers"] = {
+            wid: {
+                **self._worker_stats[wid],
+                "worker.alive": self._alive(wid) or wid in self._final_snapshots,
+                **self._final_snapshots.get(wid, {}),
+            }
+            for wid in sorted(self.workers)
+        }
         return snap

@@ -172,9 +172,7 @@ def run_closed_loop(
                 responses.append(rejection)
             else:
                 in_flight += 1
-        done = frontend.poll()
-        if not done and in_flight > 0 and frontend.config.mode != MODE_SIM:
-            time.sleep(0.005)  # yield; workers are separate processes
+        done = frontend.poll(timeout=0.005)
         responses.extend(done)
         in_flight -= len(done)
     wall_s = time.perf_counter() - t0

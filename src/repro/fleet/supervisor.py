@@ -169,18 +169,18 @@ class FleetSupervisor:
         """One supervision round; returns responses completed during it.
 
         Sim mode advances the virtual clock by ``dt`` (default: one
-        heartbeat interval).  Process mode blocks up to ``dt`` seconds
-        for fleet progress, so a supervision loop does not busy-spin.
+        heartbeat interval); its poll never waits.  Process mode waits up
+        to ``dt`` seconds for fleet progress, so a supervision loop does
+        not busy-spin.
         """
         fe = self.frontend
         dt = self.config.heartbeat_interval_s if dt is None else dt
+        # Everything finalized during the tick counts, including responses
+        # dispatched while a restart awaits READY or a rewarm awaits STATE.
         before = len(fe._responses)
         if self._sim:
             self._vnow += dt
-            fe.poll()
-        else:
-            fe._drain_response_q(timeout=dt)
-            fe._handle_deaths()
+        fe.poll(timeout=dt)
         now = self.now()
         for wid in sorted(fe.workers):
             self._check_worker(wid, now)
@@ -198,7 +198,7 @@ class FleetSupervisor:
             # Deterministic probe: one missed heartbeat per tick the
             # worker fails it; death after miss_threshold consecutive
             # misses (detection latency is modeled, not assumed).
-            if fe.workers[wid].heartbeat():
+            if alive:
                 health.misses = 0
                 fe.last_heartbeat[wid] = now
                 return
@@ -289,13 +289,10 @@ class FleetSupervisor:
                 rejected.append(resp)
         collected: list[OPFResponse] = []
         stall_deadline = time.monotonic() + fe.config.response_timeout_s
-        while fe._outstanding_total() > 0 or (
-            self._sim
-            and any(len(w) for w in fe.workers.values() if w.alive)
-        ):
+        while fe._outstanding_total() > 0:
             got = self.tick(None if self._sim else 0.25)
             collected.extend(got)
-            if got or self._sim:
+            if got:
                 stall_deadline = time.monotonic() + fe.config.response_timeout_s
             elif time.monotonic() > stall_deadline:
                 raise ReproError(
@@ -349,16 +346,12 @@ class FleetSupervisor:
             fe.ring.remove(worker_id)
             deadline = time.monotonic() + fe.config.response_timeout_s
             while fe._outstanding[worker_id]:
-                if self._sim:
-                    fe.poll()
-                else:
-                    fe._drain_response_q(timeout=0.05)
-                    fe._handle_deaths()
-                    if time.monotonic() > deadline:
-                        raise ReproError(
-                            f"drain of {worker_id} stalled with "
-                            f"{len(fe._outstanding[worker_id])} outstanding"
-                        )
+                fe.poll(timeout=0.05)
+                if time.monotonic() > deadline:
+                    raise ReproError(
+                        f"drain of {worker_id} stalled with "
+                        f"{len(fe._outstanding[worker_id])} outstanding"
+                    )
                 if not fe._alive(worker_id):
                     # Died mid-drain: failover already rerouted its work;
                     # nothing left to hand off from the corpse.

@@ -1,25 +1,32 @@
 """Fleet workers: one :class:`~repro.serve.ScenarioEngine` per worker.
 
-Two execution modes behind the same surface:
+Both worker classes speak one protocol to the frontend.  A worker posts
+``(kind, worker_id, payload)`` messages onto the fleet's response queue:
+:data:`WORKER_READY` once its engine is built, one :data:`WORKER_BATCH`
+``(responses, stats)`` per served batch, one :data:`WORKER_STATE` reply
+per control verb (:data:`CTRL_EXPORT` / :data:`CTRL_IMPORT`) and
+:data:`WORKER_DONE` with its engine snapshot on a clean shutdown.  The
+frontend drives both through the same methods: ``send``, ``adopt``,
+``send_control``, ``step``, ``kill``, ``shutdown`` and ``alive``.
 
 :class:`SimWorker`
-    In-process and fully deterministic: the frontend drives it one batch
-    at a time (:meth:`SimWorker.step`), so interleavings, crash points
-    and failover are reproducible by construction.  This is what the
-    fleet tests and the CI smoke job run.
+    In-process and fully deterministic: its engine serves one batch per
+    :meth:`SimWorker.step`, posting onto a :class:`LocalQueue`, so
+    interleavings, crash points and failover are reproducible by
+    construction.  This is what the fleet tests and the CI smoke jobs
+    run.
 :class:`ProcessWorker`
-    A real ``multiprocessing`` process running :func:`_worker_main`: the
-    engine lives in the child, requests/responses cross the boundary as
-    plain dicts over ``multiprocessing.Queue``, and death is an actual
-    dead process the frontend detects and fails over from.  This is the
-    mode the scaling benchmark measures.
+    A real ``multiprocessing`` process running :func:`_worker_main`:
+    the engine lives in the child, requests cross the boundary as plain
+    dicts, messages come back over a ``multiprocessing.Queue``, and death
+    is an actual dead process.  ``step`` is a no-op: the child serves on
+    its own.  This is the mode the scaling benchmark measures.
 
 A worker crash (from a seeded :class:`~repro.resilience.WorkerCrash`
 spec) is always *fail-stop at a batch boundary after ``after_served``
-completed requests*: the sim worker re-queues its in-flight batch and
-flips dead; the process worker hard-exits without draining its queues.
-Either way every accepted-but-unserved request stays recoverable by the
-frontend.
+completed requests*: the worker stops without answering what it holds.
+The frontend's outstanding ledger still lists every accepted-but-unserved
+request, so it recovers them the same way in both modes.
 """
 
 from __future__ import annotations
@@ -52,7 +59,7 @@ CRASH_EXIT_CODE = 17
 
 
 class WorkerQueueFull(ReproError):
-    """A worker's bounded queue rejected a routed request.
+    """A worker already holds ``queue_size`` outstanding requests.
 
     The frontend catches this and *spills* the request to the next worker
     in the key's ring preference order; it surfaces to callers only when
@@ -133,104 +140,116 @@ class WorkerSpec:
         )
 
 
-class SimWorker:
-    """Deterministic in-process worker the frontend steps batch by batch."""
+def _answer_control(response_q, worker_id: str, engine: ScenarioEngine, verb: str,
+                    arg) -> None:
+    """Post a worker's :data:`WORKER_STATE` reply to one control verb."""
+    if verb == CTRL_EXPORT:
+        payload = engine.export_topology_state(arg)
+    elif verb == CTRL_IMPORT:
+        payload = engine.import_topology_state(arg)
+    else:
+        # A verb this worker build doesn't know (version skew during a
+        # rolling restart): answer with an error payload instead of
+        # leaving the parent's collect loop to time out.
+        payload = {"error": f"unknown control verb {verb!r}"}
+    response_q.put((WORKER_STATE, worker_id, payload))
 
-    def __init__(self, spec: WorkerSpec, tracer=None):
+
+def _post_batch(response_q, worker_id: str, responses: list, t_cpu: float,
+                t_wall: float) -> None:
+    """Post one :data:`WORKER_BATCH`: the responses plus the batch's busy
+    CPU and wall seconds since ``t_cpu`` / ``t_wall``."""
+    stats = {
+        "busy_cpu_s": time.process_time() - t_cpu,
+        "busy_wall_s": time.perf_counter() - t_wall,
+        "served": len(responses),
+    }
+    response_q.put((WORKER_BATCH, worker_id, (responses, stats)))
+
+
+class LocalQueue(queue_mod.SimpleQueue):
+    """In-process stand-in for the fleet's ``multiprocessing.Queue`` whose
+    ``get`` never blocks: sim workers post from inside the frontend's own
+    calls, so nothing could arrive while it waited."""
+
+    def get(self, block: bool = True, timeout: float | None = None):
+        return super().get(block=False)
+
+    def close(self) -> None:
+        """Nothing to release."""
+
+
+class SimWorker:
+    """Deterministic in-process worker: serves one batch per :meth:`step`
+    and posts the process worker's messages onto ``response_q``."""
+
+    def __init__(self, spec: WorkerSpec, response_q, tracer=None):
         self.spec = spec
         self.worker_id = spec.worker_id
+        self.response_q = response_q
         self.engine = spec.build_engine(tracer=tracer)
         self.alive = True
         self.served = 0
-        self.busy_s = 0.0  # cumulative CPU-busy seconds across steps
+        response_q.put((WORKER_READY, self.worker_id, None))
 
-    def __len__(self) -> int:
-        return len(self.engine.queue)
+    def send(self, request: OPFRequest) -> None:
+        """Queue one routed request.  The frontend's ledger bounds the
+        queue, but it counts request ids, so a reused id can still fill
+        the engine; that rejection is posted like any other answer."""
+        rejection = self.engine.submit(request)
+        if rejection is not None:
+            now_cpu, now_wall = time.process_time(), time.perf_counter()
+            _post_batch(self.response_q, self.worker_id, [rejection], now_cpu, now_wall)
 
-    def submit(self, request: OPFRequest) -> None:
-        """Enqueue or raise :class:`WorkerQueueFull` (the frontend spills)."""
-        if not self.alive:
-            raise WorkerQueueFull(self.worker_id, len(self.engine.queue),
-                                  self.spec.queue_size)
-        if self.engine.queue.full:
-            raise WorkerQueueFull(
-                self.worker_id,
-                len(self.engine.queue),
-                self.spec.queue_size,
-                self.engine.queue.retry_after_hint,
-            )
-        # Not full, so the engine accepts (and records its own metrics).
-        self.engine.submit(request)
-
-    def requeue(self, requests: list[OPFRequest]) -> None:
-        """Accept already-admitted requests during failover, bypassing the
-        capacity bound (they must not be dropped)."""
+    def adopt(self, requests: list[OPFRequest]) -> None:
+        """Take over a dead worker's requests, in order, ahead of the queue."""
         self.engine.adopt(requests)
 
-    def step(self) -> list[OPFResponse]:
-        """Serve one batch; honours the seeded crash point.
+    def send_control(self, verb: str, arg) -> None:
+        _answer_control(self.response_q, self.worker_id, self.engine, verb, arg)
 
-        The crash fires *mid-dispatch*: the batch has been taken off the
-        queue but not served, so it is put back intact before the worker
-        flips dead — the frontend recovers it with :meth:`drain_pending`.
+    def step(self) -> bool:
+        """Serve one batch and post it; ``False`` when idle or dead.
+
+        The seeded crash point fires only when a batch is waiting: the
+        worker flips dead without serving it, and the frontend recovers
+        everything it held from the outstanding ledger.
         """
-        if not self.alive:
-            return []
-        batch = self.engine.scheduler.next_batch()
-        if not batch:
-            return []
+        if not self.alive or not len(self.engine.queue):
+            return False
         crash_at = self.spec.crash_after_served
         if crash_at is not None and self.served >= crash_at:
-            self.engine.queue.requeue_front(batch)
             self.alive = False
-            return []
-        self.engine.queue.requeue_front(batch)
-        t_cpu = time.process_time()
+            return False
+        t_cpu, t_wall = time.process_time(), time.perf_counter()
         responses = self.engine.step()
-        self.busy_s += time.process_time() - t_cpu
         self.served += len(responses)
-        return responses
+        _post_batch(self.response_q, self.worker_id, responses, t_cpu, t_wall)
+        return True
 
-    def drain_pending(self) -> list[OPFRequest]:
-        """Everything accepted but not yet served (failover recovery)."""
-        return self.engine.queue.drain_all()
+    def kill(self) -> None:
+        """Fail-stop now; like a crashed process, it posts no snapshot."""
+        self.alive = False
 
-    def heartbeat(self) -> bool:
-        """Liveness probe: a sim worker is responsive iff it is alive."""
-        return self.alive
-
-    def export_state(self, topology_keys: set[str] | None = None) -> dict:
-        """Warm-state snapshot for handoff (projections + warm entries)."""
-        return self.engine.export_topology_state(topology_keys)
-
-    def import_state(self, payload: dict) -> dict:
-        """Install a warm-state snapshot exported by another worker."""
-        return self.engine.import_topology_state(payload)
-
-    def snapshot(self) -> dict:
-        snap = self.engine.snapshot()
-        snap["worker.served"] = self.served
-        snap["worker.busy_s"] = self.busy_s
-        snap["worker.alive"] = self.alive
-        return snap
+    def shutdown(self) -> None:
+        """Post the engine snapshot (:data:`WORKER_DONE`) and stop serving;
+        a no-op on a dead worker."""
+        if self.alive:
+            self.alive = False
+            self.response_q.put((WORKER_DONE, self.worker_id, self.engine.snapshot()))
 
 
 def _worker_main(spec: WorkerSpec, request_q, response_q) -> None:
     """Process-worker entry point (module-level so it pickles).
 
-    Protocol, all plain picklable values:
-
-    * child -> parent: ``(WORKER_READY, worker_id, None)`` once the
-      engine is constructed, then ``(WORKER_BATCH, worker_id, payload)``
-      per served micro-batch where ``payload`` is ``(response_dicts,
-      stats)``, ``(WORKER_HEARTBEAT, worker_id, served)`` whenever the
-      blocking get idles past ``heartbeat_interval_s``, ``(WORKER_STATE,
-      worker_id, payload)`` in reply to a control verb, and finally
-      ``(WORKER_DONE, worker_id, snapshot)`` on clean shutdown.
-    * parent -> child: request dicts, ``None`` as the shutdown sentinel,
-      or control tuples — ``(CTRL_EXPORT, topology_keys)`` answers with
-      the warm-state snapshot, ``(CTRL_IMPORT, payload)`` installs one
-      and answers with the import counts.
+    Posts the protocol of the module docstring: ``WORKER_READY`` once
+    the engine is built, ``(WORKER_BATCH, worker_id, (responses,
+    stats))`` per served micro-batch, ``(WORKER_HEARTBEAT, worker_id,
+    served)`` whenever the blocking get idles past
+    ``heartbeat_interval_s``, ``WORKER_STATE`` in reply to a control
+    tuple and ``WORKER_DONE`` with the engine snapshot on clean shutdown.
+    The parent sends request dicts, control tuples ``(verb, arg)`` and
+    ``None`` as the shutdown sentinel.
 
     The loop blocks for the first request, then greedily drains up to
     ``max_batch - 1`` more without blocking — the micro-batching that
@@ -241,20 +260,6 @@ def _worker_main(spec: WorkerSpec, request_q, response_q) -> None:
     response_q.put((WORKER_READY, spec.worker_id, None))
     served = 0
     crash_at = spec.crash_after_served
-
-    def handle_control(msg: tuple) -> None:
-        verb, arg = msg
-        if verb == CTRL_EXPORT:
-            payload = engine.export_topology_state(arg)
-        elif verb == CTRL_IMPORT:
-            payload = engine.import_topology_state(arg)
-        else:
-            # A verb this worker build doesn't know (version skew during
-            # a rolling restart): answer with an error payload instead of
-            # leaving the parent's collect loop to time out.
-            payload = {"error": f"unknown control verb {verb!r}"}
-        response_q.put((WORKER_STATE, spec.worker_id, payload))
-
     while True:
         if crash_at is not None and served >= crash_at:
             # Seeded fail-stop: no drain, no goodbye — the parent sees a
@@ -271,7 +276,7 @@ def _worker_main(spec: WorkerSpec, request_q, response_q) -> None:
             response_q.put((WORKER_DONE, spec.worker_id, engine.snapshot()))
             return
         if isinstance(item, tuple):
-            handle_control(item)
+            _answer_control(response_q, spec.worker_id, engine, *item)
             continue
         items = [item]
         while len(items) < spec.max_batch:
@@ -284,12 +289,12 @@ def _worker_main(spec: WorkerSpec, request_q, response_q) -> None:
                 request_q.put(None)
                 break
             if isinstance(extra, tuple):
-                handle_control(extra)
+                _answer_control(response_q, spec.worker_id, engine, *extra)
                 continue
             items.append(extra)
         t_cpu = time.process_time()
         t_wall = time.perf_counter()
-        responses: list[dict] = []
+        responses: list[OPFResponse] = []
         for d in items:
             try:
                 req = OPFRequest.from_dict(d)
@@ -299,14 +304,14 @@ def _worker_main(spec: WorkerSpec, request_q, response_q) -> None:
                         request_id=str(d.get("request_id", "?")),
                         status=STATUS_ERROR,
                         error=f"malformed request: {exc}",
-                    ).to_dict()
+                    )
                 )
                 continue
             rejection = engine.submit(req)
             if rejection is not None:
-                responses.append(rejection.to_dict())
+                responses.append(rejection)
         try:
-            responses.extend(r.to_dict() for r in engine.run())
+            responses.extend(engine.run())
         except Exception as exc:  # noqa: BLE001 -- a worker must answer,
             # not die with requests in flight: convert whatever the solve
             # raised into error responses for everything still pending.
@@ -315,17 +320,12 @@ def _worker_main(spec: WorkerSpec, request_q, response_q) -> None:
                     request_id=d.get("request_id", "?"),
                     status=STATUS_ERROR,
                     error=f"worker {spec.worker_id} solve failed: {exc}",
-                ).to_dict()
+                )
                 for d in items
-                if d.get("request_id") not in {r["request_id"] for r in responses}
+                if d.get("request_id") not in {r.request_id for r in responses}
             )
         served += len(responses)
-        stats = {
-            "busy_cpu_s": time.process_time() - t_cpu,
-            "busy_wall_s": time.perf_counter() - t_wall,
-            "served": len(responses),
-        }
-        response_q.put((WORKER_BATCH, spec.worker_id, (responses, stats)))
+        _post_batch(response_q, spec.worker_id, responses, t_cpu, t_wall)
 
 
 class ProcessWorker:
@@ -356,9 +356,23 @@ class ProcessWorker:
     def send(self, request: OPFRequest) -> None:
         self.request_q.put(request.to_dict())
 
+    def adopt(self, requests: list[OPFRequest]) -> None:
+        """Take over a dead worker's requests, in order."""
+        for request in requests:
+            self.send(request)
+
     def send_control(self, verb: str, arg) -> None:
         """Queue a control verb; the child answers with ``WORKER_STATE``."""
         self.request_q.put((verb, arg))
+
+    def step(self) -> bool:
+        """No-op: the child serves on its own."""
+        return False
+
+    def kill(self) -> None:
+        """Chaos hook: SIGTERM the child now (no-op once it is dead)."""
+        self.process.terminate()
+        self.process.join(timeout=5.0)
 
     def shutdown(self, timeout_s: float = 5.0) -> None:
         """Sentinel + join; escalate to terminate if the child hangs.

@@ -58,8 +58,9 @@ def project_box_affine(
 ) -> np.ndarray:
     """Project ``v`` onto ``{x : A x = b, lb <= x <= ub}``.
 
-    Falls back to the interior-point solver on (rare) Newton breakdowns, so
-    the result is always the exact projection.
+    Falls back to the interior-point solver on (rare) Newton breakdowns, and
+    retries both on the row-equilibrated system if both fail, so the result
+    is always the exact projection.
 
     The Newton iteration itself always runs in fp64 (it solves
     regularized linear systems, where fp32 pivots are not trustworthy),
@@ -70,7 +71,8 @@ def project_box_affine(
     Raises
     ------
     QPSolverError
-        If both the Newton method and the interior-point fallback fail.
+        If both the Newton method and the interior-point fallback fail, on
+        the system as given and on its row-equilibrated copy.
     """
     out_dtype = np.asarray(v).dtype
     if out_dtype.kind != "f":
@@ -82,6 +84,22 @@ def project_box_affine(
     if m == 0:
         return np.clip(v, lb, ub).astype(out_dtype, copy=False)
 
+    x = _project(v, a, b, lb, ub, tol, max_iter)
+    if x is None:
+        # Row reduction can leave rows ~1e7 apart in scale, which stalls
+        # both paths on a feasible problem; each row divided by its
+        # largest |a| describes the same set.
+        row_max = np.abs(a).max(axis=1)
+        row_max[row_max == 0.0] = 1.0
+        x = _project(v, a / row_max[:, None], b / row_max, lb, ub, tol, max_iter)
+    if x is None:
+        raise QPSolverError("projection failed in both Newton and interior-point paths")
+    return x.astype(out_dtype, copy=False)
+
+
+def _project(v, a, b, lb, ub, tol, max_iter) -> np.ndarray | None:
+    """Semismooth Newton, then the interior-point QP; ``None`` if both fail."""
+    m, n = a.shape
     nu = np.zeros(m)
     x = np.clip(v - a.T @ nu, lb, ub)
     phi = a @ x - b
@@ -90,7 +108,7 @@ def project_box_affine(
 
     for _ in range(max_iter):
         if norm <= tol * scale:
-            return x.astype(out_dtype, copy=False)
+            return x
         inner = v - a.T @ nu
         active_free = (inner > lb) & (inner < ub)
         ad = a[:, active_free]
@@ -124,14 +142,12 @@ def project_box_affine(
             break
 
     if norm <= 1e-8 * scale:
-        return x.astype(out_dtype, copy=False)
+        return x
     # Fallback: the problem as an explicit QP (Q = I, d = -v).
     result = solve_qp_box_eq(
         np.eye(n), -v, a, b, np.asarray(lb, dtype=float), np.asarray(ub, dtype=float)
     )
-    if not result.converged:
-        raise QPSolverError("projection failed in both Newton and interior-point paths")
-    return result.x.astype(out_dtype, copy=False)
+    return result.x if result.converged else None
 
 
 # ----------------------------------------------------------------------

@@ -109,6 +109,20 @@ class TestCommands:
         assert rc == 3
         assert "1 of 1 scenarios did not converge" in capsys.readouterr().err
 
+    def test_serve_fleet_report_has_one_worker_schema(self, capsys, tmp_path):
+        """The report is written after the fleet closes, so each worker
+        entry carries its BATCH totals and its engine snapshot."""
+        out = tmp_path / "fleet.json"
+        rc = main(["serve-fleet", "--workers", "2", "--sim", "--generate", "4",
+                   "--seed", "0", "--no-warm-start", "--output", str(out)])
+        assert rc == 0
+        workers = json.loads(out.read_text())["fleet"]["workers"]
+        assert sum(ws["worker.served"] for ws in workers.values()) == 4
+        for ws in workers.values():
+            assert ws["worker.alive"] is True
+            assert "factorizations_computed" in ws
+            assert {"worker.busy_cpu_s", "worker.busy_wall_s"} <= set(ws)
+
     def test_require_convergence_quiet_when_converged(self, capsys):
         rc = main(["solve", "--feeder", "ieee13", "--max-iter", "20000",
                    "--require-convergence"])

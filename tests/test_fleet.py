@@ -9,6 +9,8 @@ serves it — which is what lets the faulted run be compared to the
 fault-free run scenario for scenario, exactly.
 """
 
+import re
+
 import pytest
 
 from repro.fleet import (
@@ -18,7 +20,7 @@ from repro.fleet import (
     WorkerSpec,
     generate_mixed_scenarios,
 )
-from repro.fleet.worker import SimWorker, WorkerQueueFull
+from repro.fleet.worker import WorkerQueueFull
 from repro.resilience import FaultPlan, WorkerCrash
 from repro.serve import (
     STATUS_CONVERGED,
@@ -120,6 +122,38 @@ class TestSpillAndBackpressure:
         # The queued work still completes.
         assert {r.status for r in fleet.run()} == {STATUS_CONVERGED}
 
+    @pytest.mark.parametrize("mode", ["sim", "process"])
+    def test_saturated_rejection_carries_the_batch_time_hint(self, mode):
+        """Once a worker has served a batch, a saturated rejection says
+        when to retry: the moving average of its batch wall time."""
+        fleet = FleetFrontend(
+            FleetConfig(n_workers=1, mode=mode, queue_size=1, max_batch=1)
+        )
+        with fleet:
+            reqs = [
+                OPFRequest(request_id=f"b{i}", feeder="ieee13", load_scale=1 + 0.01 * i)
+                for i in range(3)
+            ]
+            assert fleet.submit(reqs[0]) is None
+            assert [r.status for r in fleet.run()] == [STATUS_CONVERGED]
+            assert fleet.submit(reqs[1]) is None
+            rejection = fleet.submit(reqs[2])
+            assert rejection is not None and rejection.status == STATUS_REJECTED
+            retry_s = float(re.search(r"retry in ([0-9.]+)s", rejection.error).group(1))
+            assert retry_s > 0.0
+            assert [r.status for r in fleet.run()] == [STATUS_CONVERGED]
+
+    def test_reused_request_id_cannot_strand_a_request(self):
+        """The ledger counts request ids, so a reused id can fill a sim
+        worker's engine queue below the ledger's bound; the engine's
+        rejection of the next request is answered, not left outstanding."""
+        fleet = FleetFrontend(FleetConfig(n_workers=1, queue_size=2, max_batch=1))
+        x = OPFRequest(request_id="x", feeder="ieee13")
+        for req in (x, x, OPFRequest(request_id="y", feeder="ieee13", load_scale=1.01)):
+            assert fleet.submit(req) is None
+        statuses = {r.request_id: r.status for r in fleet.run()}
+        assert statuses == {"x": STATUS_CONVERGED, "y": STATUS_REJECTED}
+
     def test_saturated_error_is_structured(self):
         exc = FleetSaturatedError("abc123", -1.5, {"w0": 4, "w1": 4})
         assert exc.retry_after_s == 0.0  # clamped, like QueueFullError
@@ -194,6 +228,37 @@ class TestFailoverEquivalence:
         assert done == 8 and {r.status for r in fleet.responses} == {STATUS_CONVERGED}
         assert fleet.snapshot()["fleet.worker_deaths"] == 1
         assert responses  # run() returned the post-kill completions
+
+    def test_request_for_a_dead_owner_goes_to_a_survivor(self):
+        """A dead worker is never routed to, even before its death has been
+        handled: the request lands on the survivor and is answered there."""
+        fleet = FleetFrontend(FleetConfig(n_workers=2, warm_start=False, max_batch=1))
+        req = OPFRequest(request_id="x", feeder="ieee13")
+        owner = fleet.ring.route(req.topology_key())
+        (survivor,) = [w for w in fleet.workers if w != owner]
+        fleet.kill_worker(owner)
+        assert fleet.submit(req) is None
+        assert list(fleet._outstanding[survivor]) == ["x"]
+        assert not fleet._outstanding[owner]
+        assert len(fleet.workers[owner].engine.queue) == 0
+        (resp,) = fleet.run()
+        assert resp.status == STATUS_CONVERGED
+        workers = fleet.snapshot()["workers"]
+        assert workers[owner]["worker.served"] == 0
+        assert workers[survivor]["worker.served"] == 1
+
+    def test_rerouted_requests_are_answered_in_submission_order(self):
+        """A survivor takes over a dead worker's queue in its original
+        order, not reversed."""
+        fleet = FleetFrontend(FleetConfig(n_workers=2, warm_start=False, max_batch=1))
+        reqs = [
+            OPFRequest(request_id=f"r{i}", feeder="ieee13", load_scale=1 + 0.01 * i)
+            for i in range(4)
+        ]
+        for r in reqs:
+            assert fleet.submit(r) is None
+        fleet.kill_worker(fleet.ring.route(reqs[0].topology_key()))
+        assert [r.request_id for r in fleet.run()] == ["r0", "r1", "r2", "r3"]
 
     def test_total_fleet_loss_answers_honestly(self):
         reqs = mixed(4)
@@ -276,12 +341,6 @@ class TestWorkerSpec:
         )
         assert plan.worker_crash_after("w0") == 3
         assert plan.worker_crash_after("w1") is None
-
-    def test_dead_sim_worker_rejects_submissions(self):
-        worker = SimWorker(WorkerSpec(worker_id="w0", queue_size=2))
-        worker.alive = False
-        with pytest.raises(WorkerQueueFull):
-            worker.submit(OPFRequest(request_id="x"))
 
 
 class TestFleetConfig:

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -56,9 +56,21 @@ def feasible_projection(draw):
     return v, ar, br, lb, ub
 
 
+#: A feasible draw whose row-reduced rows differ in scale by ~3e7: both the
+#: Newton and the interior-point path stall on it as given.
+BADLY_SCALED_ROWS = (
+    np.ones(4),
+    np.array([[1.0, 0.0, -26879673.31300862, 0.0], [0.0, 1.0, 26879674.31300862, 1.0]]),
+    np.array([-3359959.0391260777, 3359959.5391260777]),
+    np.full(4, -0.875),
+    np.full(4, 1.125),
+)
+
+
 class TestProperties:
     @settings(max_examples=40, deadline=None)
     @given(feasible_projection())
+    @example(BADLY_SCALED_ROWS)
     def test_feasibility(self, prob):
         v, a, b, lb, ub = prob
         x = project_box_affine(v, a, b, lb, ub)
