@@ -451,12 +451,15 @@ def cmd_serve_batch(args) -> int:
                 r.iterations,
                 "warm" if r.warm_started else "cold",
                 "-" if r.objective is None else f"{r.objective:.5f}",
+                r.certified,
+                "-" if r.gap is None else f"{r.gap:.1e}",
             ]
             for r in responses
         ]
         print(
             format_table(
-                ["request", "status", "iterations", "start", "objective"],
+                ["request", "status", "iterations", "start", "objective",
+                 "certified", "gap"],
                 rows,
                 title="responses",
             )

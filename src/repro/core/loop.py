@@ -108,6 +108,9 @@ class IterationStrategy:
     backend: Backend
     gcols = None
     c = None
+    #: The decomposed problem; a result reports the primal violation of
+    #: its ``lp`` when it has one.
+    dec = None
 
     # -- update rules ---------------------------------------------------
     def global_step(self, z, lam, rho):
@@ -415,8 +418,10 @@ class ADMMLoop:
         strat = self.strategy
         b = self.backend
         res = outcome.res
+        x = b.to_numpy(outcome.x)
+        lp = getattr(strat.dec, "lp", None)
         return ADMMResult(
-            x=b.to_numpy(outcome.x),
+            x=x,
             z=b.to_numpy(outcome.z),
             lam=b.to_numpy(outcome.lam),
             objective=strat.objective(outcome.x),
@@ -427,4 +432,5 @@ class ADMMLoop:
             history=outcome.history,
             timers=strat.final_timers(outcome.timers),
             algorithm=strat.final_algorithm_name(),
+            primal_violation=None if lp is None else lp.primal_violation(x),
         )

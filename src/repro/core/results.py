@@ -47,6 +47,10 @@ class ADMMResult:
     stacked local solutions and consensus duals (warm-start inputs for the
     next solve after a topology change).  ``timers`` holds accumulated wall
     time per update phase ("global", "local", "dual", "residual").
+
+    ``primal_violation`` (``||A x - b||_inf`` or the worst bound
+    violation, whichever is larger) is reported whenever the solved
+    problem has an LP (``strategy.dec.lp``).
     """
 
     x: np.ndarray
@@ -60,6 +64,7 @@ class ADMMResult:
     history: IterationHistory | None
     timers: dict[str, float]
     algorithm: str
+    primal_violation: float | None = None
 
     def value(self, var_index, key: VarKey) -> float:
         """Value of one named variable in the global solution."""

@@ -6,7 +6,13 @@ is a pure regrouping.
 """
 
 from repro.formulation.balance import balance_rows
-from repro.formulation.centralized import CentralizedLP, build_centralized_lp, build_rows
+from repro.formulation.centralized import (
+    ActiveSetCertificate,
+    CentralizedLP,
+    build_centralized_lp,
+    build_rows,
+    certify_active_set,
+)
 from repro.formulation.flow import flow_rows, voltage_drop_matrices
 from repro.formulation.loads import (
     consumption_rows,
@@ -21,7 +27,9 @@ from repro.formulation.scaling import ScaledLP, column_scales, scale_lp
 from repro.formulation.variables import VariableIndex, VarKey
 
 __all__ = [
+    "ActiveSetCertificate",
     "CentralizedLP",
+    "certify_active_set",
     "build_centralized_lp",
     "build_rows",
     "balance_rows",

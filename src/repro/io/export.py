@@ -63,6 +63,7 @@ def result_to_dict(result: ADMMResult, include_vectors: bool = False) -> dict:
         "converged": result.converged,
         "pres": result.pres,
         "dres": result.dres,
+        "primal_violation": result.primal_violation,
         "timers": dict(result.timers),
     }
     if result.history is not None:

@@ -24,7 +24,8 @@ Two layers:
     batched matmul per width serves the whole group, which is exactly the
     amortization the paper's batched kernels exploit (and what the modeled
     GPU timing in the metrics accounts).  The engine adds only a serving
-    hook: per-scenario retirement, NaN isolation and solution snapshots.
+    hook: per-scenario retirement, NaN isolation, solution snapshots and
+    the certified active-set polish of linearized scenarios.
 """
 
 from __future__ import annotations
@@ -42,7 +43,11 @@ from repro.core.config import ADMMConfig
 from repro.core.consensus import ScenarioStack
 from repro.core.loop import ADMMLoop
 from repro.decomposition.rowreduce import reduced_row_echelon
-from repro.formulation import build_centralized_lp
+from repro.formulation import (
+    ActiveSetCertificate,
+    build_centralized_lp,
+    certify_active_set,
+)
 from repro.formulation.rows import rows_to_dense_local
 from repro.gpu.costmodel import iteration_times_from_sizes
 from repro.gpu.device import A100, DeviceSpec
@@ -373,6 +378,11 @@ class _ServingBatch:
     which are reset.  The batch loop runs with the divergence guard off,
     so isolation feeds the caller's retry/degradation policy instead of
     raising.  The chaos hook corrupts a target scenario's local iterate.
+
+    Linearized scenarios whose ``SolveOptions.polish`` is on try the
+    certified active-set polish at iterations 1, 2, 4, 8, ...; a certified
+    scenario retires as converged and its polished point is kept, in host
+    fp64, in :attr:`certificates`.
     """
 
     def __init__(self, engine: "ScenarioEngine", strategy, problems):
@@ -393,6 +403,13 @@ class _ServingBatch:
         self.diverged = np.zeros(k_n, dtype=bool)
         self.timed_out = np.zeros(k_n, dtype=bool)
         self.snap_x = self.snap_z = self.snap_lam = None
+        linearized = problems[0].request.method == "linearized"
+        self.polish_k = np.array(
+            [linearized and p.request.options.polish for p in problems], dtype=bool
+        )
+        self.certificates: dict[int, ActiveSetCertificate] = {}
+        self._tracer = engine.tracer
+        self._metrics = engine.metrics
         # Per-scenario absolute deadlines (submit-relative when known).
         deadline_at = np.full(k_n, np.inf)
         for k, p in enumerate(problems):
@@ -482,6 +499,10 @@ class _ServingBatch:
                 done |= late
                 self.iters[late] = iteration
         converged_now = (pres <= eps_prim) & (dres <= eps_dual)
+        if not iteration & (iteration - 1):  # a power of two
+            polish = ~done & self.polish_k
+            if polish.any():
+                converged_now |= self._polish(x, polish)
         newly = ~done & (converged_now | (iteration >= self.budget_k))
         if newly.any():
             self.conv |= newly & converged_now
@@ -502,6 +523,31 @@ class _ServingBatch:
             eps_dual=float(eps_dual.min()),
             converged=bool(done.all()),
         )
+
+    def _polish(self, x, tried):
+        """Try the active-set polish on the scenarios in mask ``tried``;
+        returns the mask of those certified."""
+        t0 = time.perf_counter()
+        n = self.scenario_n
+        certified = np.zeros_like(tried)
+        for k in np.flatnonzero(tried):
+            certificate = certify_active_set(
+                self.problems[k].lp, self.backend.to_numpy(x[k * n : (k + 1) * n])
+            )
+            if certificate is not None:
+                self.certificates[int(k)] = certificate
+                certified[k] = True
+        n_tried, n_certified = int(tried.sum()), int(certified.sum())
+        self._metrics.record_polish(n_tried, n_certified)
+        if self._tracer:
+            self._tracer.add_complete(
+                "serve.polish",
+                t0,
+                time.perf_counter(),
+                cat="serve",
+                args={"scenarios": n_tried, "certified": n_certified},
+            )
+        return certified
 
 
 class ScenarioEngine:
@@ -988,6 +1034,7 @@ class ScenarioEngine:
                     # the HiGHS cutting-plane solve of the same model.
                     ref = solve_reference_socp(p.conic)
             self.metrics.record_degraded()
+            # No bound is computed on this path, so it is never certified.
             resp = OPFResponse(
                 request_id=req.request_id,
                 status=STATUS_CONVERGED,
@@ -995,6 +1042,9 @@ class ScenarioEngine:
                 iterations=0,
                 degraded=True,
                 attempts=attempts,
+                primal_violation=(
+                    p.lp.primal_violation(ref.x) if p.lp is not None else None
+                ),
             )
         else:
             resp = OPFResponse(
@@ -1135,10 +1185,19 @@ class ScenarioEngine:
                 status = STATUS_TIMEOUT
             else:
                 status = STATUS_ITERATION_LIMIT
+            # A certified scenario answers with its polished host-fp64 point.
+            certificate = strat.certificates.get(k)
+            if certificate is not None:
+                x_k, z_k = certificate.x, certificate.x[plan.dec.global_cols]
+                objective = certificate.objective
+            else:
+                x_k, z_k = snap_x[gs], snap_z[ls]
+                objective = float(p.cost @ x_k)
+            answered = not timed_out[k]
             resp = OPFResponse(
                 request_id=p.request.request_id,
                 status=status,
-                objective=None if timed_out[k] else float(p.cost @ snap_x[gs]),
+                objective=objective if answered else None,
                 iterations=int(iters[k]) if iters[k] else iteration,
                 pres=float(strat.pres_at[k]),
                 dres=float(strat.dres_at[k]),
@@ -1146,6 +1205,11 @@ class ScenarioEngine:
                 warm_distance=float(warm_dist[k]) if warm[k] else None,
                 solve_seconds=solve_seconds,
                 latency_seconds=self._latency(p.request),
+                certified=certificate is not None,
+                gap=None if certificate is None else certificate.gap,
+                primal_violation=(
+                    p.lp.primal_violation(x_k) if answered and p.lp is not None else None
+                ),
             )
             if timed_out[k]:
                 resp.error = (
@@ -1157,8 +1221,8 @@ class ScenarioEngine:
                     p.request.topology_key(),
                     p.request.scenario_key(),
                     p.signature,
-                    snap_x[gs],
-                    snap_z[ls],
+                    x_k,
+                    z_k,
                     snap_lam[ls],
                     int(iters[k]),
                 )

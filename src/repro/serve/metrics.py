@@ -38,6 +38,9 @@ class ServingMetrics:
         self._n_batches = reg.counter("serve.n_batches")
         self._factorizations_computed = reg.counter("serve.factorizations_computed")
         self._factorizations_reused = reg.counter("serve.factorizations_reused")
+        # Active-set polish (docs/ALGORITHMS.md §11), counted per scenario.
+        self._polish_attempts = reg.counter("serve.polish_attempts")
+        self._polish_certified = reg.counter("serve.polish_certified")
         # Resilience counters (docs/RESILIENCE.md): retries of diverged
         # solves, degradations to the reference LP, divergent scenarios,
         # deadline timeouts, breaker trips and breaker-rejected requests.
@@ -188,6 +191,10 @@ class ServingMetrics:
         self._factorizations_computed.inc(int(computed))
         self._factorizations_reused.inc(int(reused))
 
+    def record_polish(self, attempts: int, certified: int) -> None:
+        self._polish_attempts.inc(int(attempts))
+        self._polish_certified.inc(int(certified))
+
     def record_modeled_gpu_iteration(self, seconds: float) -> None:
         self.modeled_gpu_iteration_s.observe(float(seconds))
 
@@ -255,6 +262,8 @@ class ServingMetrics:
             "warm_start_iteration_savings": round(self.warm_start_iteration_savings, 4),
             "factorizations_computed": self.factorizations_computed,
             "factorizations_reused": self.factorizations_reused,
+            "polish_attempts": self._polish_attempts.value,
+            "polish_certified": self._polish_certified.value,
             "queue_wait_p50_ms": round(1e3 * self.queue_wait_s.percentile(50), 3),
             "latency_p50_ms": round(1e3 * self.latencies_s.percentile(50), 3),
             "latency_p90_ms": round(1e3 * self.latencies_s.percentile(90), 3),

@@ -10,7 +10,9 @@ serves all matching requests from that plan.
 
 :class:`OPFResponse` is the per-request outcome with one of the statuses
 
-* ``converged`` — ADMM met the relative criterion (16) within budget,
+* ``converged`` — ADMM met the relative criterion (16) within budget, or
+  the active-set polish of its iterate was certified optimal
+  (``certified``; docs/ALGORITHMS.md §11),
 * ``iteration_limit`` — the per-request budget ran out first,
 * ``rejected`` — the engine's bounded queue was full (backpressure) or the
   topology's circuit breaker is open,
@@ -49,12 +51,18 @@ class SolveOptions:
     ``deadline_s`` is a submit-to-response latency budget: the engine
     times out the request (status ``timeout``) if it is still waiting or
     solving when the budget expires.  ``None`` (the default) disables it.
+
+    ``polish`` lets a linearized request stop at the first certified
+    active-set polish (tried at iterations 1, 2, 4, 8, ...) with the exact
+    polished answer; ``False`` keeps the paper's stopping rule (16).  The
+    qp and socp rungs ignore it.
     """
 
     rho: float = 100.0
     eps_rel: float = 1e-3
     max_iter: int = 20_000
     deadline_s: float | None = None
+    polish: bool = True
 
     def __post_init__(self) -> None:
         if self.rho <= 0 or self.eps_rel <= 0:
@@ -70,9 +78,11 @@ class SolveOptions:
         ``deadline_s`` is deliberately excluded: it is a latency budget
         on *this submission*, not a property of the mathematical
         scenario — two requests differing only in deadline must hit the
-        same cache entry.
+        same cache entry.  ``polish`` enters only when it is off, so every
+        digest of a default request is unchanged.
         """
-        return (self.rho, self.eps_rel, self.max_iter)
+        signature = (self.rho, self.eps_rel, self.max_iter)
+        return signature if self.polish else signature + ("no-polish",)
 
 
 @dataclass
@@ -187,7 +197,14 @@ class OPFRequest:
 
 @dataclass
 class OPFResponse:
-    """Per-request outcome of one served scenario."""
+    """Per-request outcome of one served scenario.
+
+    ``certified`` marks an answer whose optimality was proven by the
+    active-set polish, with ``gap`` its relative certified gap;
+    ``primal_violation`` (``||A x - b||_inf`` or the worst bound
+    violation, whichever is larger) is reported for every answer that has
+    an LP.
+    """
 
     request_id: str
     status: str
@@ -202,6 +219,9 @@ class OPFResponse:
     error: str | None = None
     degraded: bool = False
     attempts: int = 1
+    certified: bool = False
+    gap: float | None = None
+    primal_violation: float | None = None
 
     @property
     def ok(self) -> bool:
@@ -339,7 +359,10 @@ class StochasticResponse(OPFResponse):
     ``objective`` carries the risk objective the caller asked for via
     ``alpha`` — both ``expected_cost`` and ``cvar_cost`` are always
     reported.  Statuses aggregate conservatively: ``converged`` only if
-    every scenario child converged, otherwise the worst child status.
+    every scenario child converged, otherwise the worst child status;
+    ``certified`` only if every child is certified, with ``gap`` and
+    ``primal_violation`` the children's maxima (``None`` if any child has
+    none).
     """
 
     n_scenarios: int = 0
@@ -378,6 +401,10 @@ class StochasticResponse(OPFResponse):
             )
             cvar = float(sample_cvar(objectives, weights, request.alpha))
         errors = sorted({c.error for c in children if c.error})
+
+        def worst(values):
+            return None if None in values or not values else max(values)
+
         return cls(
             request_id=request.request_id,
             status=status,
@@ -393,6 +420,9 @@ class StochasticResponse(OPFResponse):
             error="; ".join(errors) or None,
             degraded=any(c.degraded for c in children),
             attempts=max((c.attempts for c in children), default=1),
+            certified=bool(children) and all(c.certified for c in children),
+            gap=worst([c.gap for c in children]),
+            primal_violation=worst([c.primal_violation for c in children]),
             n_scenarios=len(children),
             alpha=request.alpha,
             scenario_objectives=objectives,

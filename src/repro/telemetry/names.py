@@ -66,6 +66,8 @@ METRIC_NAMES: frozenset[str] = frozenset(
         "serve.factorizations_reused",
         "serve.iteration_limit",
         "serve.n_batches",
+        "serve.polish_attempts",
+        "serve.polish_certified",
         "serve.queue_depth",
         "serve.rejected",
         "serve.served",
@@ -106,6 +108,7 @@ SPAN_NAMES: frozenset[str] = frozenset(
         # serve
         "serve.batch",
         "serve.multiperiod",
+        "serve.polish",
         "serve.retry",
         "serve.solve",
         "serve.warm_lookup",

@@ -101,7 +101,9 @@ class TestCommands:
 
         scen = tmp_path / "scenarios.json"
         save_requests_json(
-            [OPFRequest(request_id="tight", options=SolveOptions(max_iter=5))],
+            [OPFRequest(
+                request_id="tight", options=SolveOptions(max_iter=5, polish=False)
+            )],
             scen,
         )
         rc = main(["serve-batch", "--scenarios", str(scen),

@@ -288,7 +288,8 @@ class TestServingBatchOfOne:
                 request_id="one",
                 method=method.value,
                 options=SolveOptions(
-                    rho=spec.rho, eps_rel=spec.eps_rel, max_iter=spec.max_iter
+                    rho=spec.rho, eps_rel=spec.eps_rel, max_iter=spec.max_iter,
+                    polish=False,
                 ),
             )
         ])

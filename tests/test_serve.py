@@ -161,12 +161,13 @@ class TestRequests:
 def served_engine():
     """One engine that served a cold batch then a perturbed warm batch."""
     engine = ScenarioEngine(max_batch=4, queue_size=16, cache_capacity=8)
+    paper = SolveOptions(polish=False)
     cold = [
-        OPFRequest(request_id=f"cold{i}", load_scale=1.0 + 0.04 * i)
+        OPFRequest(request_id=f"cold{i}", load_scale=1.0 + 0.04 * i, options=paper)
         for i in range(3)
     ]
     warm = [
-        OPFRequest(request_id=f"warm{i}", load_scale=1.005 + 0.04 * i)
+        OPFRequest(request_id=f"warm{i}", load_scale=1.005 + 0.04 * i, options=paper)
         for i in range(3)
     ]
     cold_resp = engine.serve(cold)
@@ -238,7 +239,7 @@ class TestScenarioEngine:
         resps = engine.serve(
             [
                 OPFRequest(
-                    request_id="tight", options=SolveOptions(max_iter=5)
+                    request_id="tight", options=SolveOptions(max_iter=5, polish=False)
                 )
             ]
         )
@@ -251,11 +252,13 @@ class TestScenarioEngine:
         engine = ScenarioEngine(max_batch=4)
         resps = engine.serve(
             [
-                OPFRequest(request_id="full", load_scale=1.0),
+                OPFRequest(
+                    request_id="full", load_scale=1.0, options=SolveOptions(polish=False)
+                ),
                 OPFRequest(
                     request_id="tight",
                     load_scale=1.02,
-                    options=SolveOptions(max_iter=10),
+                    options=SolveOptions(max_iter=10, polish=False),
                 ),
             ]
         )

@@ -43,8 +43,13 @@ class TestRetryIsolation:
         )
         chaos = ScenarioEngine(max_batch=4, fault_plan=plan)
         clean = ScenarioEngine(max_batch=4)
-        chaos_resp = {r.request_id: r for r in chaos.serve(reqs(1.0, 1.03, 1.06))}
-        clean_resp = {r.request_id: r for r in clean.serve(reqs(1.0, 1.03, 1.06))}
+        paper = SolveOptions(polish=False)
+        chaos_resp = {
+            r.request_id: r for r in chaos.serve(reqs(1.0, 1.03, 1.06, options=paper))
+        }
+        clean_resp = {
+            r.request_id: r for r in clean.serve(reqs(1.0, 1.03, 1.06, options=paper))
+        }
 
         poisoned = chaos_resp["s1"]
         assert poisoned.status == STATUS_CONVERGED
@@ -223,7 +228,9 @@ class TestDeadlines:
         engine = ScenarioEngine(max_batch=2)
         req = OPFRequest(
             request_id="slow",
-            options=SolveOptions(eps_rel=1e-12, max_iter=500_000, deadline_s=0.05),
+            options=SolveOptions(
+                eps_rel=1e-12, max_iter=500_000, deadline_s=0.05, polish=False
+            ),
         )
         resp = engine.serve([req])[0]
         assert resp.status == STATUS_TIMEOUT
