@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.linalg.lapack import dpotrf as _dpotrf, dpotrs as _dpotrs
 
 from repro.backend import Backend, get_backend
 from repro.decomposition.decomposed import DecomposedOPF
@@ -39,6 +40,11 @@ from repro.utils.exceptions import DecompositionError
 
 def projection_data(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Compute ``(M, bbar)`` of one component from its full-row-rank system.
+
+    ``A A^T`` is factorized and solved with LAPACK ``dpotrf`` / ``dpotrs``
+    called exactly as :func:`scipy.linalg.cho_factor` /
+    :func:`~scipy.linalg.cho_solve` call them for fp64 input (upper
+    factor, no finiteness check), minus their per-call wrapper work.
 
     Raises
     ------
@@ -51,16 +57,32 @@ def projection_data(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarra
     if m == 0:
         return np.eye(n), np.zeros(n)
     k = a @ a.T
-    try:
-        cho = sla.cho_factor(k, check_finite=False)
-    except sla.LinAlgError as exc:
+    c, info = _dpotrf(k, lower=False, overwrite_a=False, clean=False)
+    if info > 0:
         raise DecompositionError(
             "A_s A_s^T is singular; A_s must have full row rank (apply row reduction)"
-        ) from exc
-    g = sla.cho_solve(cho, a, check_finite=False)  # (A A^T)^{-1} A
-    mmat = np.eye(n) - a.T @ g
-    bbar = a.T @ sla.cho_solve(cho, b, check_finite=False)
+        ) from sla.LinAlgError(
+            f"{info}-th leading minor of the array is not positive definite"
+        )
+    if info < 0:
+        raise ValueError(
+            f'LAPACK reported an illegal value in {-info}-th argument '
+            f'on entry to "POTRF".'
+        )
+    mmat = np.eye(n) - a.T @ _cho_solve(c, a)  # (A A^T)^{-1} A
+    bbar = a.T @ _cho_solve(c, b)
     return mmat, bbar
+
+
+def _cho_solve(c: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """``cho_solve((c, False), rhs, check_finite=False)`` for fp64 ``c``."""
+    rhs = np.asarray(rhs)
+    if c.shape[1] != rhs.shape[0]:
+        raise ValueError(f"incompatible dimensions ({c.shape} and {rhs.shape})")
+    x, info = _dpotrs(c, rhs, lower=False, overwrite_b=False)
+    if info != 0:
+        raise ValueError(f"illegal value in {-info}th argument of internal potrs")
+    return x
 
 
 @dataclass

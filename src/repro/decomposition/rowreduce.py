@@ -52,15 +52,21 @@ def reduced_row_echelon(
         If elimination produces a row ``0 = rhs`` with ``|rhs|`` above the
         tolerance — the local system is inconsistent.
     """
-    a = np.array(a, dtype=HOST_DTYPE, copy=True)
-    b = np.array(b, dtype=HOST_DTYPE, copy=True).reshape(-1)
+    a = np.asarray(a, dtype=HOST_DTYPE)
+    b = np.asarray(b, dtype=HOST_DTYPE).reshape(-1)
     m, n = a.shape
     if b.shape != (m,):
         raise ValueError(f"rhs shape {b.shape} incompatible with matrix {a.shape}")
     if m == 0:
-        return a, b, []
-    aug = np.hstack([a, b[:, None]])
-    scale = np.max(np.abs(aug))
+        return a.copy(), b.copy(), []
+    aug = np.empty((m, n + 1), dtype=HOST_DTYPE)
+    aug[:, :n] = a
+    aug[:, n] = b
+    # `ndarray` methods and a broadcast product in place of `np.max`,
+    # `np.argmax` and `np.outer`: the same operations in the same order,
+    # without the wrapper dispatch (this runs once per pivot, on systems
+    # of a few tens of rows).
+    scale = np.abs(aug).max()
     if scale == 0.0:
         return np.zeros((0, n)), np.zeros(0), []
     # Pivots are judged relative to the system's own magnitude; the
@@ -76,15 +82,17 @@ def reduced_row_echelon(
     for col in range(n):
         if rank >= m:
             break
-        pivot = rank + int(np.argmax(np.abs(aug[rank:, col])))
+        pivot = rank + int(np.abs(aug[rank:, col]).argmax())
         if abs(aug[pivot, col]) <= threshold:
             continue
         if pivot != rank:
             aug[[rank, pivot]] = aug[[pivot, rank]]
-        aug[rank] /= aug[rank, col]
+        row = aug[rank]
+        row /= row[col]
+        # `> 0` rather than `!= 0` keeps NaN rows out of the update.
         others = np.abs(aug[:, col]) > 0
         others[rank] = False
-        aug[others] -= np.outer(aug[others, col], aug[rank])
+        aug[others] -= aug[others, col][:, None] * row
         pivot_cols.append(col)
         rank += 1
 

@@ -107,6 +107,18 @@ class VariableIndex:
     def key_of(self, idx: int) -> VarKey:
         return self._keys[idx]
 
+    def with_bounds(self, lb: np.ndarray, ub: np.ndarray) -> "VariableIndex":
+        """A copy of this index with the bounds ``lb`` / ``ub``."""
+        return VariableIndex(
+            dict(self._index),
+            list(self._keys),
+            lb.tolist(),
+            ub.tolist(),
+            list(self._cost),
+            list(self._is_voltage),
+            list(self._init),
+        )
+
     def lower_bounds(self) -> np.ndarray:
         return np.asarray(self._lb, dtype=HOST_DTYPE)
 

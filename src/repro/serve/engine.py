@@ -7,11 +7,13 @@ Two layers:
     assembled LP, the partition/row-ownership map of Section V-A, and a
     content-addressed **projection cache**.  A scenario perturbs load
     references (which changes some components' local systems ``A_s x = b_s``)
-    and generator bounds (which changes nothing but the box (9d)); the plan
-    rebuilds only the per-component dense systems and re-factorizes *only*
-    components whose bytes actually changed — line components, unloaded
-    buses and repeated multipliers all reuse cached ``(M_s, bbar_s)``
-    projections (15b)-(15c).
+    and generator bounds (which changes nothing but the box (9d)).  On the
+    LP rungs the plan builds a scenario parametrically, as the paper
+    computes each projection once (Section V-A): it writes the touched
+    loads' consumption rows and generators' bounds into copies of its base
+    arrays and re-factorizes *only* the components those loads sit in —
+    line components, unloaded buses and repeated multipliers all reuse
+    cached ``(M_s, bbar_s)`` projections (15b)-(15c).
 
 :class:`ScenarioEngine`
     The serving loop: bounded-queue submission (backpressure), same-topology
@@ -30,12 +32,14 @@ Two layers:
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
+import scipy.sparse as sp
 
 from repro.backend import resolve_backend
 from repro.core.batch import projection_data
@@ -45,8 +49,9 @@ from repro.core.loop import ADMMLoop
 from repro.decomposition.rowreduce import reduced_row_echelon
 from repro.formulation import (
     ActiveSetCertificate,
-    build_centralized_lp,
+    CentralizedLP,
     certify_active_set,
+    consumption_rows,
 )
 from repro.formulation.rows import rows_to_dense_local
 from repro.gpu.costmodel import iteration_times_from_sizes
@@ -82,7 +87,7 @@ from repro.serve.requests import (
 from repro.serve.scheduler import BatchScheduler, BoundedRequestQueue, QueueFullError
 from repro.serve.warmstart import WarmStartCache
 from repro.telemetry import NULL_TRACER
-from repro.utils.exceptions import FormulationError
+from repro.utils.exceptions import FormulationError, InfeasibleError
 from repro.utils.timing import PhaseTimer, Timer
 
 #: Thread count per block used for the modeled local-update kernel spans.
@@ -105,6 +110,8 @@ class ScenarioProblem:
     solve of this scenario diverges and retries run out, the engine falls
     back to a centralized reference solve of exactly this model — HiGHS
     on the LP, or the HiGHS cutting-plane loop on the conic problem.
+    Arrays the request did not change are the plan's read-only base
+    arrays.
     """
 
     request: OPFRequest
@@ -116,6 +123,21 @@ class ScenarioProblem:
     signature: np.ndarray
     lp: object = None
     conic: object = None
+
+
+@dataclass(frozen=True)
+class _LoadRow:
+    """Where one ZIP consumption row of a load sits in a plan's base LP."""
+
+    row: int  # position in ``lp.rows`` and ``lp.b_vector``
+    component: int
+    local_row: int  # row of the component's raw system
+    cells: dict  # variable key -> (CSR data slot, local column)
+
+
+def _digest(a_raw: np.ndarray, b_raw: np.ndarray) -> bytes:
+    """Content address of a component's raw local system."""
+    return hashlib.sha256(a_raw.tobytes() + b_raw.tobytes()).digest()
 
 
 class TopologyPlan:
@@ -130,10 +152,19 @@ class TopologyPlan:
     * ``linearized`` / ``qp`` share the LP (7) decomposition; the
       content-addressed cache stores ``(M, bbar)`` batched projections
       for the former and the reduced ``(A, b)`` systems for the latter
-      (the box-QP projection needs the explicit rows).
+      (the box-QP projection needs the explicit rows).  These plans build
+      a scenario **parametrically**: at plan time they record where each
+      load's ZIP consumption rows sit in the base LP (CSR data slots,
+      ``b`` entries, component raw-system cells), each generator's ``pg``
+      columns and each component's digest, and mark those base arrays
+      read-only.  A request then writes its touched loads' regenerated
+      rows and its generators' bounds into copies, and hashes and
+      re-reduces only the components those loads sit in.
     * ``socp`` builds the branch-flow conic model: linear components plus
       width-4 cone blocks, with the same content-addressed caching over
       the linear components (cone projections have no factorization).
+      Its bus balance rows sum every load at a bus, so a load owns no
+      entry of its own and each scenario rebuilds the model.
     """
 
     def __init__(self, feeder: str, method: str = "linearized"):
@@ -167,37 +198,100 @@ class TopologyPlan:
         self._rref_tol = 1e-9
         self.factorizations_computed = 0
         self.factorizations_reused = 0
+        if self.method != "socp":
+            self._record_base()
+
+    def _record_base(self) -> None:
+        """Record where the request-dependent entries of the base LP sit."""
+        lp, comps = self.dec.lp, self.dec.components
+        a = lp.a_matrix
+        local_row: list[tuple[int, int]] = []
+        rows_in = [0] * len(comps)
+        for row in lp.rows:
+            s = self._owner_to_spec[row.owner]
+            local_row.append((s, rows_in[s]))
+            rows_in[s] += 1
+        row_of = {row.tag: i for i, row in enumerate(lp.rows)}
+        local_col = [{k: j for j, k in enumerate(keys)} for keys in self._local_keys]
+        self._load_rows: dict[str, list[_LoadRow]] = {}
+        for name, load in self.net.loads.items():
+            slots = []
+            for row in consumption_rows(load):
+                i = row_of[row.tag]
+                s, r = local_row[i]
+                cells = {}
+                for slot in range(a.indptr[i], a.indptr[i + 1]):
+                    key = lp.var_index.key_of(int(a.indices[slot]))
+                    cells[key] = (slot, local_col[s][key])
+                slots.append(_LoadRow(i, s, r, cells))
+            self._load_rows[name] = slots
+        self._gen_cols = {
+            name: np.array(
+                [lp.var_index.index(("pg", name, phi)) for phi in gen.phases],
+                dtype=np.int64,
+            )
+            for name, gen in self.net.generators.items()
+        }
+        self._x0 = lp.initial_point()
+        self._base_digests = [_digest(c.a_raw, c.b_raw) for c in comps]
+        # Every scenario shares these (or writes copies): freeze them so a
+        # stray in-place write fails loudly instead of corrupting the plan.
+        base = [a.data, a.indices, a.indptr, lp.b_vector, lp.cost, lp.lb, lp.ub, self._x0]
+        for arr in base + [x for c in comps for x in (c.a_raw, c.b_raw)]:
+            arr.flags.writeable = False
 
     # ------------------------------------------------------------------
     def _perturbed_network(self, request: OPFRequest):
-        net = self.net.copy()
-        unknown = set(request.load_multipliers) - set(net.loads)
+        """The plan's network with ``request`` applied, plus the names of
+        the loads and generators it touched.
+
+        A shallow copy: buses and lines are the plan's objects, and only
+        the touched loads and generators are copies, so the plan's network
+        never changes.
+        """
+        base = self.net
+        unknown = set(request.load_multipliers) - set(base.loads)
         if unknown:
             raise ValueError(f"unknown loads in multipliers: {sorted(unknown)}")
-        for name, load in net.loads.items():
+        loads = dict(base.loads)
+        touched_loads = []
+        for name, load in base.loads.items():
             scale = request.load_scale * request.load_multipliers.get(name, 1.0)
             if scale != 1.0:
-                load.p_ref *= scale
-                load.q_ref *= scale
+                load = loads[name] = copy.copy(load)
+                load.p_ref = load.p_ref * scale
+                load.q_ref = load.q_ref * scale
+                touched_loads.append(name)
+        generators = dict(base.generators)
+        touched_gens: dict = {}
+
+        def touch(name: str, field: str):
+            gen = touched_gens.get(name)
+            if gen is None:
+                try:
+                    gen = copy.copy(base.generators[name])
+                except KeyError:
+                    raise ValueError(f"unknown generator {name!r} in {field}") from None
+                gen.p_min = gen.p_min.copy()
+                gen.p_max = gen.p_max.copy()
+                touched_gens[name] = generators[name] = gen
+            return gen
+
         for name, setpoint in request.der_setpoints.items():
-            try:
-                gen = net.generators[name]
-            except KeyError:
-                raise ValueError(f"unknown generator {name!r} in der_setpoints") from None
+            gen = touch(name, "der_setpoints")
             gen.p_min[:] = setpoint
             gen.p_max[:] = setpoint
         for name, (p_min, p_max) in request.gen_limits.items():
-            try:
-                gen = net.generators[name]
-            except KeyError:
-                raise ValueError(f"unknown generator {name!r} in gen_limits") from None
+            gen = touch(name, "gen_limits")
             if p_min is not None:
                 gen.p_min[:] = p_min
             if p_max is not None:
                 gen.p_max[:] = p_max
             if np.any(gen.p_min > gen.p_max):
                 raise ValueError(f"generator {name!r}: p_min exceeds p_max")
-        return net
+        # The adjacency cache indexes the base network's dicts.
+        net = replace(base, loads=loads, generators=generators, _adjacency=None)
+        return net, touched_loads, list(touched_gens)
 
     def _signature(self, net) -> np.ndarray:
         """The scenario parameter vector warm-start distance runs on."""
@@ -221,58 +315,131 @@ class TopologyPlan:
             If the request references unknown loads/generators or sets
             inconsistent limits.
         """
-        net = self._perturbed_network(request)
-        socp = self.method == "socp"
-        if socp:
-            # Loads re-enter through the rebuilt branch-flow model's linear
-            # rows (bus balance) and bounds; the cone blocks are structural.
-            model = build_bfm_socp(net, **METHOD_SPECS[Method.SOCP].build_kwargs)
-        else:
-            model = build_centralized_lp(net)
+        net, loads, gens = self._perturbed_network(request)
+        if self.method == "socp":
+            return self._rebuilt_conic_scenario(request, net)
+        lp, systems = self._scenario_lp(net, loads, gens)
+        projections = []
+        for s, comp in enumerate(self.dec.components):
+            system = systems.get(s)
+            if system is None:
+                projections.append(
+                    self._projection(s, self._base_digests[s], comp.a_raw, comp.b_raw)
+                )
+            else:
+                projections.append(self._projection(s, _digest(*system), *system))
+        return ScenarioProblem(
+            request=request,
+            cost=lp.cost,
+            lb=lp.lb,
+            ub=lp.ub,
+            x0_default=lp.initial_point() if gens else self._x0,
+            projections=projections,
+            signature=self._signature(net),
+            lp=lp,
+        )
+
+    def _scenario_lp(self, net, loads: list[str], gens: list[str]):
+        """The base LP with the touched loads' consumption rows and the
+        touched generators' bounds written into copies of its arrays;
+        returns it and the rewritten raw systems by component."""
+        base = self.dec.lp
+        rows = list(base.rows)
+        data = base.a_matrix.data.copy()
+        b = base.b_vector.copy()
+        systems: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        dropped = False
+        for name in loads:
+            for row, at in zip(consumption_rows(net.loads[name]), self._load_rows[name]):
+                if not row.coeffs.keys() <= at.cells.keys():
+                    raise ValueError(f"row {row.tag!r} leaves the base sparsity pattern")
+                rows[at.row] = row
+                b[at.row] = row.rhs
+                system = systems.get(at.component)
+                if system is None:
+                    comp = self.dec.components[at.component]
+                    system = systems[at.component] = (comp.a_raw.copy(), comp.b_raw.copy())
+                a_raw, b_raw = system
+                b_raw[at.local_row] = row.rhs
+                for key, (slot, col) in at.cells.items():
+                    value = row.coeffs.get(key)
+                    if value is None:  # Row dropped a zero coefficient
+                        value = 0.0
+                        dropped = True
+                    data[slot] = value
+                    a_raw[at.local_row, col] = value
+        a = sp.csr_matrix(
+            (data, base.a_matrix.indices.copy(), base.a_matrix.indptr.copy()),
+            shape=base.a_matrix.shape,
+        )
+        if dropped:
+            a.eliminate_zeros()
+        var_index, lb, ub = base.var_index, base.lb, base.ub
+        if gens:
+            lb, ub = lb.copy(), ub.copy()
+            for name in gens:
+                gen, cols = net.generators[name], self._gen_cols[name]
+                lb[cols] = gen.p_min
+                ub[cols] = gen.p_max
+            var_index = var_index.with_bounds(lb, ub)
+        lp = CentralizedLP(
+            network=net,
+            var_index=var_index,
+            rows=rows,
+            a_matrix=a,
+            b_vector=b,
+            cost=base.cost,
+            lb=lb,
+            ub=ub,
+        )
+        return lp, systems
+
+    def _rebuilt_conic_scenario(self, request: OPFRequest, net) -> ScenarioProblem:
+        """A socp scenario: loads re-enter through the rebuilt branch-flow
+        model's bus balance rows and bounds; the cone blocks are structural."""
+        model = build_bfm_socp(net, **METHOD_SPECS[Method.SOCP].build_kwargs)
         if model.n_vars != self.n_vars:
             raise ValueError("scenario changed the variable space (topology?)")
         rows_by_spec: list[list] = [[] for _ in self._local_keys]
         for row in model.rows:
             rows_by_spec[self._owner_to_spec[row.owner]].append(row)
+        projections = []
+        for s, rows in enumerate(rows_by_spec):
+            a_raw, b_raw = rows_to_dense_local(rows, self._local_keys[s])
+            projections.append(self._projection(s, _digest(a_raw, b_raw), a_raw, b_raw))
         return ScenarioProblem(
             request=request,
             cost=model.cost,
             lb=model.lb,
             ub=model.ub,
             x0_default=model.initial_point(),
-            projections=self._cached_projections(rows_by_spec),
+            projections=projections,
             signature=self._signature(net),
-            lp=None if socp else model,
-            conic=model if socp else None,
+            conic=model,
         )
 
-    def _cached_projections(
-        self, rows_by_spec: list[list]
-    ) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Assemble each component's local system through the cache.
+    def _projection(
+        self, s: int, digest: bytes, a_raw: np.ndarray, b_raw: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Component ``s``'s cached pair for the raw system of ``digest``.
 
         The cached pair is method-specific — ``(M, bbar)`` batched
         projections for ``linearized``/``socp`` linear components, the
         reduced ``(A, b)`` rows for ``qp`` — but the content-addressing
         (raw system bytes) and the hit accounting are identical.
         """
-        projections: list[tuple[np.ndarray, np.ndarray]] = []
-        for s, rows in enumerate(rows_by_spec):
-            a_raw, b_raw = rows_to_dense_local(rows, self._local_keys[s])
-            digest = hashlib.sha256(a_raw.tobytes() + b_raw.tobytes()).digest()
-            cached = self._projections.get((s, digest))
-            if cached is None:
-                a_red, b_red, _ = reduced_row_echelon(a_raw, b_raw, tol=self._rref_tol)
-                if self.method == "qp":
-                    cached = (a_red, b_red)
-                else:
-                    cached = projection_data(a_red, b_red)
-                self._projections[(s, digest)] = cached
-                self.factorizations_computed += 1
+        cached = self._projections.get((s, digest))
+        if cached is None:
+            a_red, b_red, _ = reduced_row_echelon(a_raw, b_raw, tol=self._rref_tol)
+            if self.method == "qp":
+                cached = (a_red, b_red)
             else:
-                self.factorizations_reused += 1
-            projections.append(cached)
-        return projections
+                cached = projection_data(a_red, b_red)
+            self._projections[(s, digest)] = cached
+            self.factorizations_computed += 1
+        else:
+            self.factorizations_reused += 1
+        return cached
 
     def stacked(self, problems: list[ScenarioProblem]) -> MethodProblem:
         """The K scenarios as one problem of this plan's method: a
@@ -1023,36 +1190,43 @@ class ScenarioEngine:
         return responses, still_failed
 
     def _degrade_or_error(self, p: ScenarioProblem, attempts: int) -> OPFResponse:
+        """Answer a scenario whose retries ran out: the exact reference
+        solve of its model when degradation is on, else (or when that
+        solve fails too) an ``error`` naming why."""
         req = p.request
+        resp = OPFResponse(
+            request_id=req.request_id,
+            status=STATUS_ERROR,
+            error=f"batched solve diverged after {attempts} attempts",
+            attempts=attempts,
+        )
         degradable = p.lp is not None or p.conic is not None
         if self.resilience.degrade_to_reference and degradable:
-            with self.timers.measure("degrade"):
-                if p.lp is not None:
-                    ref = solve_reference(p.lp)
-                else:
-                    # Conic scenarios have no LP; the exact fallback is
-                    # the HiGHS cutting-plane solve of the same model.
-                    ref = solve_reference_socp(p.conic)
-            self.metrics.record_degraded()
-            # No bound is computed on this path, so it is never certified.
-            resp = OPFResponse(
-                request_id=req.request_id,
-                status=STATUS_CONVERGED,
-                objective=float(ref.objective),
-                iterations=0,
-                degraded=True,
-                attempts=attempts,
-                primal_violation=(
-                    p.lp.primal_violation(ref.x) if p.lp is not None else None
-                ),
-            )
-        else:
-            resp = OPFResponse(
-                request_id=req.request_id,
-                status=STATUS_ERROR,
-                error=f"batched solve diverged after {attempts} attempts",
-                attempts=attempts,
-            )
+            try:
+                with self.timers.measure("degrade"):
+                    if p.lp is not None:
+                        ref = solve_reference(p.lp)
+                    else:
+                        # Conic scenarios have no LP; the exact fallback is
+                        # the HiGHS cutting-plane solve of the same model.
+                        ref = solve_reference_socp(p.conic)
+            except InfeasibleError as exc:
+                # Only this request fails; its batchmates keep their answers.
+                resp.error = str(exc)
+            else:
+                self.metrics.record_degraded()
+                # No bound is computed on this path, so it is never certified.
+                resp = OPFResponse(
+                    request_id=req.request_id,
+                    status=STATUS_CONVERGED,
+                    objective=float(ref.objective),
+                    iterations=0,
+                    degraded=True,
+                    attempts=attempts,
+                    primal_violation=(
+                        p.lp.primal_violation(ref.x) if p.lp is not None else None
+                    ),
+                )
         resp.latency_seconds = self._latency(req)
         self.metrics.record_response(resp.status, 0, False, resp.latency_seconds)
         return resp

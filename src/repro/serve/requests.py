@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, field
 
 #: Methods of the fidelity ladder (docs/METHODS.md).  Kept as a plain
@@ -42,6 +43,13 @@ STATUS_ITERATION_LIMIT = "iteration_limit"
 STATUS_REJECTED = "rejected"
 STATUS_TIMEOUT = "timeout"
 STATUS_ERROR = "error"
+
+
+def _require_finite(field_name: str, value) -> None:
+    """Reject NaN and infinite perturbations where requests enter: a NaN
+    load poisons the whole stacked batch, an infinite one the LP."""
+    if not math.isfinite(value):
+        raise ValueError(f"{field_name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -111,7 +119,10 @@ class OPFRequest:
         ADMM solve options.
     method:
         Fidelity-ladder rung this request runs on (``linearized``, ``qp``
-        or ``socp`` — see docs/METHODS.md).  The method is part of the
+        or ``socp`` — see docs/METHODS.md).
+
+    Every perturbation value must be finite; a NaN or infinite one raises
+    a ``ValueError`` naming its field.  The method is part of the
         plan and warm-start cache identity: a linearized warm start must
         never seed a conic solve.
     """
@@ -126,6 +137,14 @@ class OPFRequest:
     method: str = "linearized"
 
     def __post_init__(self) -> None:
+        _require_finite("load_scale", self.load_scale)
+        for field_name in ("load_multipliers", "der_setpoints"):
+            for name, value in getattr(self, field_name).items():
+                _require_finite(f"{field_name}[{name!r}]", value)
+        for name, limits in self.gen_limits.items():
+            for value in limits:
+                if value is not None:
+                    _require_finite(f"gen_limits[{name!r}]", value)
         if self.load_scale < 0:
             raise ValueError("load_scale must be nonnegative")
         if any(m < 0 for m in self.load_multipliers.values()):

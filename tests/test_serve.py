@@ -391,3 +391,38 @@ class TestServingMetrics:
         m.record_queue_wait(0.002)
         snap = m.snapshot()
         assert snap["queue_wait_p50_ms"] == pytest.approx(2.0)
+
+
+class TestNonFiniteRequests:
+    """NaN or infinite perturbations are rejected where requests enter,
+    before they can poison a stacked batch or the LP."""
+
+    FIELDS = {
+        "load_scale": lambda v: {"load_scale": v},
+        "load_multipliers": lambda v: {"load_multipliers": {"ld611": v}},
+        "der_setpoints": lambda v: {"der_setpoints": {"source": v}},
+        "gen_limits": lambda v: {"gen_limits": {"source": (None, v)}},
+        "gen_limits_min": lambda v: {"gen_limits": {"source": (v, None)}},
+    }
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("field", sorted(FIELDS))
+    def test_rejected_naming_the_field(self, field, value):
+        kwargs = self.FIELDS[field](value)
+        name = field.removesuffix("_min")
+        with pytest.raises(ValueError, match=rf"^{name}\b.*must be finite"):
+            OPFRequest(request_id="r", **kwargs)
+        d = OPFRequest(request_id="r").to_dict()
+        d.update(kwargs)
+        with pytest.raises(ValueError, match="must be finite"):
+            OPFRequest.from_dict(d)
+
+    def test_scenario_file_with_nan_is_malformed(self, tmp_path):
+        from repro.cli import main
+
+        path = tmp_path / "nan.json"
+        path.write_text('[{"request_id": "r", "load_multipliers": {"ld611": NaN}}]')
+        with pytest.raises(ValueError, match="malformed scenario.*must be finite"):
+            load_requests_json(path)
+        with pytest.raises(SystemExit, match="cannot read scenarios"):
+            main(["serve-batch", "--scenarios", str(path)])

@@ -303,3 +303,32 @@ class TestBackpressure:
         assert "retry in 0.000s" in resp.error
         snap = engine.metrics.snapshot()
         assert snap["backpressure_retry_after_s"] == 0.0
+
+
+class TestFailedReference:
+    def test_infeasible_reference_answers_only_its_own_request(self):
+        """A scenario whose retries run out and whose reference LP is
+        infeasible answers ``error``; its batchmate keeps its answer."""
+        plan = FaultPlan(
+            seed=1,
+            faults=tuple(
+                NaNCorruption(target="inf", at_iteration=2, attempt=a) for a in range(5)
+            ),
+        )
+        engine = ScenarioEngine(fault_plan=plan)
+        ok, bad = engine.serve([
+            OPFRequest(request_id="ok"),
+            OPFRequest(
+                request_id="inf",
+                gen_limits={"source": (None, 0.0)},
+                options=SolveOptions(max_iter=64),
+            ),
+        ])
+        assert ok.status == STATUS_CONVERGED
+        assert bad.status == STATUS_ERROR
+        assert "infeasible" in bad.error
+        assert bad.attempts == 1 + engine.resilience.retry.max_retries
+        assert not bad.degraded
+        assert engine.metrics.degraded == 0
+        breaker = next(iter(engine.breakers.values()))
+        assert breaker.consecutive_failures == 1
