@@ -81,14 +81,15 @@ class Backend:
         out = self.xp.bincount(idx, weights=weights, minlength=minlength)
         return out.astype(self.compute_dtype, copy=False)
 
-    def clip(self, x, lo, hi):
-        """Elementwise box projection (the only place bounds (9d) live).
+    def clip(self, x, lo, hi, out=None):
+        """Elementwise box projection (the only place bounds (9d) live),
+        into ``out`` when given (``x`` itself included).
 
         The same bits as ``xp.clip`` (signed zeros and NaN included)
         without its Python wrapper.
         """
         xp = self.xp
-        return xp.minimum(xp.maximum(x, lo), hi)
+        return xp.minimum(xp.maximum(x, lo, out=out), hi, out=out)
 
     def matmul_batched(self, proj, v_pad, out=None):
         """One padded batched projection: ``(S, w, w) @ (S, w, 1)``, written

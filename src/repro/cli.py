@@ -74,6 +74,15 @@ def resolve_feeder(spec: str):
         raise SystemExit(str(exc)) from None
 
 
+def admm_config(**fields) -> ADMMConfig:
+    """An :class:`ADMMConfig` from command-line values; a value it rejects
+    (non-positive or non-finite) exits with its one-line message."""
+    try:
+        return ADMMConfig(**fields)
+    except ValueError as exc:
+        raise SystemExit(str(exc)) from None
+
+
 def cmd_info(args) -> int:
     net = resolve_feeder(args.feeder)
     lp = build_centralized_lp(net)
@@ -106,7 +115,7 @@ def cmd_solve(args) -> int:
     net = resolve_feeder(args.feeder)
     lp = build_centralized_lp(net)
     dec = decompose(lp)
-    cfg = ADMMConfig(
+    cfg = admm_config(
         rho=args.rho,
         eps_rel=args.eps_rel,
         max_iter=args.max_iter,
@@ -184,7 +193,7 @@ def _cmd_solve_method(args) -> int:
     )
 
     net = resolve_feeder(args.feeder)
-    cfg = ADMMConfig(
+    cfg = admm_config(
         rho=args.rho,
         eps_rel=args.eps_rel,
         max_iter=args.max_iter,
@@ -703,7 +712,7 @@ def cmd_solve_stochastic(args) -> int:
         f"(seed {args.seed}, load sigma {args.load_sigma}, pv sigma "
         f"{args.pv_sigma}, antithetic {not args.no_antithetic})"
     )
-    cfg = ADMMConfig(rho=args.rho, eps_rel=args.eps_rel, max_iter=args.max_iter)
+    cfg = admm_config(rho=args.rho, eps_rel=args.eps_rel, max_iter=args.max_iter)
     tracer = Tracer() if args.trace else NULL_TRACER
     objectives = (
         ["expected", "cvar"] if args.objective == "both" else [args.objective]
@@ -833,7 +842,7 @@ def cmd_schedule_der(args) -> int:
             soc0=args.storage_energy / 2,
         )
     ]
-    cfg = ADMMConfig(rho=args.rho, eps_rel=args.eps_rel, max_iter=args.max_iter)
+    cfg = admm_config(rho=args.rho, eps_rel=args.eps_rel, max_iter=args.max_iter)
     try:
         horizon = rolling_horizon(
             net,

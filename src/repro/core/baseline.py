@@ -102,12 +102,18 @@ class BenchmarkADMM(ConsensusADMM):
         )
 
     # ------------------------------------------------------------------
-    def local_update(self, bx, lam, rho):
-        v = bx + lam / self.rho_vectors(rho)[1]
+    def local_update(self, bx, lam, rho, out=None, lam_rho=None):
+        """Every component's box-QP at ``v = B x + lam / rho``
+        (``lam_rho`` is ``lam / rho`` when the caller holds it).  The
+        interior-point mode writes into ``out`` when given; the projection
+        mode returns the projector's own fresh array."""
+        if lam_rho is None:
+            lam_rho = lam / self.rho_vectors(rho)[1]
+        v = bx + lam_rho
         b = self.backend
         if self.projector is not None:
             return b.asarray(self.projector.project(b.to_numpy(v)))
-        z = b.empty(self.n_local)
+        z = b.empty(self.n_local) if out is None else out
         rho_k = self.rho_k
         for s, (sl, a, bs, lb, ub) in enumerate(self.qps):
             v_s = v[sl]

@@ -33,18 +33,21 @@ import scipy.linalg as sla
 from scipy.linalg.lapack import dpotrf as _dpotrf, dpotrs as _dpotrs
 
 from repro.backend import Backend, get_backend
+from repro.backend.blas import single_blas_thread
 from repro.decomposition.decomposed import DecomposedOPF
 from repro.qp.projection import bucket_width
 from repro.utils.exceptions import DecompositionError
 
 
+@single_blas_thread()
 def projection_data(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Compute ``(M, bbar)`` of one component from its full-row-rank system.
 
     ``A A^T`` is factorized and solved with LAPACK ``dpotrf`` / ``dpotrs``
     called exactly as :func:`scipy.linalg.cho_factor` /
     :func:`~scipy.linalg.cho_solve` call them for fp64 input (upper
-    factor, no finiteness check), minus their per-call wrapper work.
+    factor, no finiteness check), minus their per-call wrapper work, on
+    one BLAS thread (:mod:`repro.backend.blas`).
 
     Raises
     ------
@@ -115,6 +118,7 @@ class BatchedLocalSolver:
     stack_from_pad: np.ndarray  # (n_local,) padded slot of each stacked entry
     backend: Backend = None  # type: ignore[assignment]
     v_stack: np.ndarray = field(init=False, repr=False)  # (n_local + 1,)
+    v: np.ndarray = field(init=False, repr=False)  # (n_local,) the input buffer
     v_pad: np.ndarray = field(init=False, repr=False)  # (P,) padded input
     z_pad: np.ndarray = field(init=False, repr=False)  # (P,) padded output
     bbar_pad: np.ndarray = field(init=False, repr=False)  # (P,) every bucket's bbar
@@ -123,6 +127,7 @@ class BatchedLocalSolver:
         b = self.backend
         n_pad = self.pad_from_stack.size
         self.v_stack = b.zeros(self.n_local + 1)
+        self.v = self.v_stack[: self.n_local]
         self.v_pad = b.empty(n_pad)
         self.z_pad = b.empty(n_pad)
         self.bbar_pad = b.empty(n_pad)
@@ -242,17 +247,25 @@ class BatchedLocalSolver:
 
         ``z[s] = M_s v_s + bbar_s`` for all components: one gather into the
         padded layout, one batched matmul per width bucket, one gather back
-        (into ``out`` when given).
+        (into ``out`` when given).  A caller that builds ``v`` in place in
+        :attr:`v`, the solver's input buffer, spares the copy in.  ``out``
+        is flat, or any shape of ``n_local`` entries in stacked order, such
+        as the ``(K, n_local / K)`` view of K scenarios' blocks inside a
+        longer stacked vector.
         """
-        if v.shape != (self.n_local,):
-            raise ValueError(f"expected stacked vector of length {self.n_local}")
         b = self.backend
-        self.v_stack[: self.n_local] = v
+        if v is not self.v:
+            if v.shape != (self.n_local,):
+                raise ValueError(f"expected stacked vector of length {self.n_local}")
+            self.v[...] = v
         b.take(self.v_stack, self.pad_from_stack, out=self.v_pad)
         for proj, v_pad, z_pad in self._kernels:
             b.matmul_batched(proj, v_pad, out=z_pad)
         self.z_pad += self.bbar_pad
-        return b.take(self.z_pad, self.stack_from_pad, out=out)
+        idx = self.stack_from_pad
+        if out is not None and out.ndim > 1:
+            idx = idx.reshape(out.shape)
+        return b.take(self.z_pad, idx, out=out)
 
     def solve_one(self, s: int, v_s: np.ndarray) -> np.ndarray:
         """Un-batched single-component projection (CPU-agent execution path;

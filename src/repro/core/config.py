@@ -2,7 +2,13 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+
+#: The float fields, each of which must be finite.
+_FINITE_FIELDS = (
+    "rho", "eps_rel", "relaxation", "balancing_mu", "balancing_tau", "qp_tol",
+)
 
 
 @dataclass
@@ -61,6 +67,10 @@ class ADMMConfig:
     qp_tol: float = 1e-9
 
     def __post_init__(self) -> None:
+        for name in _FINITE_FIELDS:
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.rho <= 0:
             raise ValueError("rho must be positive")
         if self.eps_rel <= 0:

@@ -27,7 +27,8 @@ from repro.core.rho import ResidualBalancer
 _BAD_WARM_START = "warm-start vectors have inconsistent shapes (wrong length)"
 
 
-def global_update(backend, gcols, counts, c, z, lam, rho, bounds=None, rho_local=None):
+def global_update(backend, gcols, counts, c, z, lam, rho, bounds=None, rho_local=None,
+                  *, c_rho=None, out=None, lam_rho=None, zl=None):
     """Eq. (18): the closed-form global minimizer.
 
     A scatter-add of ``z - lam / rho`` over the consensus map ``gcols``,
@@ -36,11 +37,19 @@ def global_update(backend, gcols, counts, c, z, lam, rho, bounds=None, rho_local
     the unclipped ``x_hat`` of (10) when ``bounds`` is ``None``.  ``rho``
     is a scalar or, for stacked scenarios, a vector over the global
     entries whose local-length twin is ``rho_local``.
+
+    ``c_rho`` is ``c / rho`` when the caller keeps it.  The result goes
+    into ``out``, ``lam / rho`` into ``lam_rho`` and ``z - lam / rho`` into
+    ``zl`` when given; without them each step allocates, with the dtype
+    promotion of the plain operators.
     """
+    xp = backend.xp
     rho_local = rho if rho_local is None else rho_local
-    scatter = backend.scatter_add(gcols, z - lam / rho_local, counts.size)
-    xhat = (scatter - c / rho) / counts
-    return xhat if bounds is None else backend.clip(xhat, *bounds)
+    lam_rho = xp.divide(lam, rho_local, out=lam_rho)
+    scatter = backend.scatter_add(gcols, xp.subtract(z, lam_rho, out=zl), counts.size)
+    xhat = xp.subtract(scatter, c / rho if c_rho is None else c_rho, out=out)
+    xhat = xp.divide(xhat, counts, out=out)
+    return xhat if bounds is None else backend.clip(xhat, *bounds, out=out)
 
 
 @dataclass
@@ -92,7 +101,17 @@ class ScenarioStack:
 class ConsensusADMM(IterationStrategy):
     """One rung over a :class:`ScenarioStack` (``dec`` is the stack, or a
     decomposition as its K = 1 stack); subclasses supply
-    :meth:`local_update` and the class flags."""
+    :meth:`local_update` and the class flags.
+
+    The public stages (:meth:`global_update`, :meth:`local_update`,
+    :meth:`dual_update`) allocate their results unless handed buffers.
+    The engine hooks hand them the run's workspace, so inside
+    :meth:`solve` the global update computes ``lam / rho`` once for the
+    local update, the dual update leaves ``B x - z`` for the primal
+    residual, and ``c / rho`` is recomputed only when rho changes.  A
+    result's arrays belong to it: the next solve iterates in a new
+    workspace.
+    """
 
     #: Clip the global update to the bounds (9d).  Rungs that keep the
     #: bounds in their local subproblems take the unclipped x_hat of (10).
@@ -133,12 +152,17 @@ class ConsensusADMM(IterationStrategy):
             np.concatenate([base.global_cols + k * n for k in range(k_n)])
         )
         self.counts = b.asarray(np.tile(base.counts, k_n))
+        self._bounds = (self.lb, self.ub) if self.clip_global else None
         # rho enters the iterates in the compute dtype (no silent fp64
         # promotion under fp32).
         self.rho_k = stack.rho
         if self.rho_k is not None:
             self._rho_g = b.asarray(np.repeat(self.rho_k, n))
             self._rho_l = b.asarray(np.repeat(self.rho_k, base.n_local))
+        # c / rho for the rho (scalar or per-scenario vector) it was
+        # last computed for: it changes only when residual balancing
+        # moves rho.
+        self._c_rho = self._c_rho_for = None
         self._balancer = ResidualBalancer(
             mu=self.config.balancing_mu,
             tau=self.config.balancing_tau,
@@ -155,33 +179,48 @@ class ConsensusADMM(IterationStrategy):
             return rho, rho
         return self._rho_g, self._rho_l
 
-    def global_update(self, z, lam, rho):
-        """Eq. (18), clipped unless this rung keeps the bounds local."""
+    def global_update(self, z, lam, rho, out=None, lam_rho=None, zl=None):
+        """Eq. (18), clipped unless this rung keeps the bounds local.
+
+        Writes ``x`` into ``out``, ``lam / rho`` into ``lam_rho`` and
+        ``z - lam / rho`` into ``zl`` when given.
+        """
         rho_g, rho_l = self.rho_vectors(rho)
-        bounds = (self.lb, self.ub) if self.clip_global else None
+        if rho_g is not self._c_rho_for:
+            self._c_rho, self._c_rho_for = self.c / rho_g, rho_g
         return global_update(
-            self.backend, self.gcols, self.counts, self.c, z, lam, rho_g, bounds, rho_l
+            self.backend, self.gcols, self.counts, self.c, z, lam, rho_g,
+            self._bounds, rho_l, c_rho=self._c_rho, out=out, lam_rho=lam_rho, zl=zl,
         )
 
-    def local_update(self, bx, lam, rho):
-        """Eq. (15) at ``v = B x + lam / rho`` (the rung's own rule)."""
+    def local_update(self, bx, lam, rho, out=None, lam_rho=None):
+        """Eq. (15) at ``v = B x + lam / rho`` (the rung's own rule), into
+        ``out`` when given; ``lam_rho`` is ``lam / rho`` when the caller
+        holds it."""
         raise NotImplementedError
 
-    def dual_update(self, lam, bx, z, rho):
-        """Eq. (19)."""
-        return lam + self.rho_vectors(rho)[1] * (bx - z)
+    def dual_update(self, lam, bx, z, rho, out=None, diff=None, step=None):
+        """Eq. (19), into ``out`` when given; ``bx - z`` goes into ``diff``
+        and ``rho (bx - z)`` into ``step`` when given."""
+        xp = self.backend.xp
+        diff = xp.subtract(bx, z, out=diff)
+        return xp.add(lam, xp.multiply(self.rho_vectors(rho)[1], diff, out=step), out=out)
 
     # ------------------------------------------------------------------
-    # Engine hooks (repro.core.loop) — delegate to the public stages
+    # Engine hooks (repro.core.loop) — the public stages, writing into the
+    # run's workspace
     # ------------------------------------------------------------------
     def global_step(self, z, lam, rho):
-        return self.global_update(z, lam, rho)
+        ws = self.workspace
+        return self.global_update(z, lam, rho, ws.x, ws.lam_rho, ws.zl)
 
     def local_step(self, bx_eff, z_prev, lam, rho):
-        return self.local_update(bx_eff, lam, rho)
+        ws = self.workspace
+        return self.local_update(bx_eff, lam, rho, ws.z, ws.lam_rho)
 
     def dual_step(self, lam, bx_eff, z, rho):
-        return self.dual_update(lam, bx_eff, z, rho)
+        ws = self.workspace
+        return self.dual_update(lam, bx_eff, z, rho, ws.lam, ws.diff, ws.step)
 
     def span_args(self) -> dict:
         return {
@@ -234,7 +273,9 @@ class ConsensusADMM(IterationStrategy):
             Override the configured budget.
         callback:
             Optional ``callback(iteration, x, z, lam, residuals)`` invoked
-            every iteration (used by instrumented benchmark runs).
+            every iteration (used by instrumented benchmark runs).  It gets
+            the live arrays, valid until the next iteration returns: copy
+            what must outlive that.
 
         Raises
         ------

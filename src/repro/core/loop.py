@@ -19,7 +19,19 @@ stall watch that triggers the fp64 refinement fallback.
 
 All array work flows through a :class:`repro.backend.Backend`, so the
 same engine runs fp64 NumPy (bit-identical to the historical loops),
-fp32 with fp64 residual accumulation, or CuPy.
+fp32 with fp64 residual accumulation, or CuPy.  Each run iterates in its
+own :class:`Workspace`, so an iteration allocates almost nothing.
+
+Who may hold which array, and for how long:
+
+* a callback gets the live ``x``, ``z`` and ``lam``, valid until the next
+  iteration returns (the one after reads them, the one after that
+  overwrites them);
+* with a callback installed, the divergence guard copies the state it
+  keeps, since the callback may write into the live arrays; without one
+  it keeps references;
+* a :class:`LoopOutcome`'s arrays belong to the finished run: the next
+  run allocates a workspace of its own.
 """
 
 from __future__ import annotations
@@ -42,12 +54,67 @@ def _phase_timers(timed: int, *totals: float) -> dict:
     return dict(zip(("global", "local", "dual", "residual"), totals)) if timed else {}
 
 
+@contextlib.contextmanager
+def _bound(strategy, workspace):
+    """Bind ``workspace`` to ``strategy`` for the duration of one run."""
+    strategy.bind_workspace(workspace)
+    try:
+        yield workspace
+    finally:
+        strategy.bind_workspace(None)
+
+
 def truncate_history(history: IterationHistory | None, n: int) -> None:
     """Drop entries beyond iteration ``n`` (checkpoint rewind support)."""
     if history is None:
         return
     for name in ("pres", "dres", "eps_prim", "eps_dual", "rho"):
         del getattr(history, name)[n:]
+
+
+class Workspace:
+    """The arrays one :meth:`ADMMLoop.run` iterates in, in the compute dtype.
+
+    Two sets of ``x``, ``bx`` (``B x``), ``z`` and ``lam`` alternate: the
+    attributes name the set the current iteration writes, and :meth:`flip`
+    (called by the loop as each iteration starts) swaps in the other.  An
+    iteration's inputs are the previous iteration's outputs, so they, and
+    with them ``z_prev`` and the divergence guard's best state, stay
+    intact until the iteration after.
+
+    The scratch vectors serve every iteration, and two of them carry a
+    value from one stage to the next:
+
+    * ``lam_rho`` - ``lam / rho``, left by the global step for the local
+      step;
+    * ``zl`` - ``z - lam / rho``, the global step's scatter input;
+    * ``diff`` - ``B x - z``, left by the dual step for the primal
+      residual;
+    * ``step`` - ``rho (B x - z)``, then ``z - z_prev`` for the dual
+      residual.
+
+    Strategies that keep their own arrays (the simulated-MPI runner)
+    ignore it.
+    """
+
+    __slots__ = ("x", "bx", "z", "lam", "lam_rho", "zl", "diff", "step", "_idle")
+
+    def __init__(self, backend: Backend, n: int, n_local: int):
+        def iterate_set():
+            return (backend.empty(n), backend.empty(n_local),
+                    backend.empty(n_local), backend.empty(n_local))
+
+        self.x, self.bx, self.z, self.lam = iterate_set()
+        self._idle = iterate_set()
+        self.lam_rho, self.zl, self.diff, self.step = (
+            backend.empty(n_local) for _ in range(4)
+        )
+
+    def flip(self) -> None:
+        """Make the idle set the one the next iteration writes."""
+        idle = self._idle
+        self._idle = (self.x, self.bx, self.z, self.lam)
+        self.x, self.bx, self.z, self.lam = idle
 
 
 class RewindSignal(Exception):
@@ -88,10 +155,12 @@ class LoopOutcome:
 class IterationStrategy:
     """Update rules + hooks one ADMM variant plugs into :class:`ADMMLoop`.
 
-    Concrete strategies must provide :meth:`global_step` and
-    :meth:`local_step` (or the fused :attr:`local_dual_step`) and set
-    the attributes ``algorithm_name``, ``gcols`` (the consensus gather
-    index), ``c`` (the cost vector) and ``backend``.
+    Concrete strategies must provide :meth:`global_step` and either
+    :meth:`local_step` plus :meth:`dual_step` or the fused
+    :attr:`local_dual_step`, and set the attributes ``algorithm_name``,
+    ``gcols`` (the consensus gather index), ``c`` (the cost vector) and
+    ``backend``.  The hooks may write their outputs into the run's
+    :attr:`workspace`, never into their inputs.
     """
 
     algorithm_name = "ADMM"
@@ -111,21 +180,28 @@ class IterationStrategy:
     #: The decomposed problem; a result reports the primal violation of
     #: its ``lp`` when it has one.
     dec = None
+    #: The :class:`Workspace` of the run in progress (``None`` between
+    #: runs): the update hooks write their outputs into it.
+    workspace: Workspace | None = None
 
     # -- update rules ---------------------------------------------------
     def global_step(self, z, lam, rho):
         raise NotImplementedError
 
     def gather(self, x):
-        """``B x`` — the consensus gather."""
-        return x[self.gcols]
+        """``B x`` — the consensus gather, into the workspace."""
+        return self.backend.take(x, self.gcols, out=self.workspace.bx)
 
     def local_step(self, bx_eff, z_prev, lam, rho):
         raise NotImplementedError
 
     def dual_step(self, lam, bx_eff, z, rho):
-        """Eq. (19)."""
-        return lam + rho * (bx_eff - z)
+        """Eq. (19); must leave ``bx_eff - z`` in ``workspace.diff``."""
+        raise NotImplementedError
+
+    def bind_workspace(self, workspace: Workspace | None) -> None:
+        """Called by :meth:`ADMMLoop.run` as a run starts and ends."""
+        self.workspace = workspace
 
     def objective(self, x) -> float:
         """Cost of a (possibly fp32 / device) solution, fp64-accumulated."""
@@ -156,6 +232,10 @@ class IterationStrategy:
 
 class ADMMLoop:
     """The shared iteration engine.
+
+    Every :meth:`run` allocates a :class:`Workspace` through the backend,
+    binds it to the strategy for the run's duration, and iterates in it:
+    iteration k writes one of its two iterate sets and reads the other.
 
     Parameters
     ----------
@@ -278,6 +358,12 @@ class ADMMLoop:
         after_residuals = strat.after_residuals
         on_iteration_continue = strat.on_iteration_continue
         compute, eps_rel, backend = compute_residuals, cfg.eps_rel, self.backend
+        if history is not None:
+            keep_pres, keep_dres = history.pres.append, history.dres.append
+            keep_eps_prim = history.eps_prim.append
+            keep_eps_dual = history.eps_dual.append
+            keep_rho = history.rho.append
+        rho_f = float(rho)
         # perf_counter stamps feed the phase timers and/or the phase spans;
         # the timers add up in locals and become the result's totals once.
         record = self.record_timers
@@ -291,6 +377,7 @@ class ADMMLoop:
         best = None  # (iteration, x, z, lam, res) of the last finite state
         stalled = False
         with (
+            _bound(strat, Workspace(backend, x.size, z.size)) as ws,
             tracer.span(
                 "admm.solve",
                 algorithm=strat.algorithm_name,
@@ -299,10 +386,15 @@ class ADMMLoop:
                 **strat.span_args(),
             )
             if spans
-            else contextlib.nullcontext()
+            else contextlib.nullcontext(),
         ):
+            flip = ws.flip
+            # The primal residual reuses the dual step's B x - z, unless
+            # over-relaxation fed that step B x_eff or a fused step ran.
+            pres_diff = ws.diff if relax == 1.0 and local_dual_step is None else None
             while iteration < budget:
                 iteration += 1
+                flip()
                 z, lam = on_iteration_start(iteration, z, lam, rho)
                 try:
                     t0 = clock() if stamp else 0.0
@@ -330,7 +422,9 @@ class ADMMLoop:
                 if strategy_residuals is not None:
                     res = strategy_residuals(iteration, x, bx, z, z_prev, lam, rho)
                 else:
-                    res = compute(bx, z, z_prev, lam, rho, eps_rel, backend)
+                    res = compute(
+                        bx, z, z_prev, lam, rho, eps_rel, backend, pres_diff, ws.step
+                    )
                 t4 = clock() if stamp else 0.0
                 if record:
                     t_global += t1 - t0
@@ -350,8 +444,8 @@ class ADMMLoop:
                             _phase_timers(timed, t_global, t_local, t_dual, t_residual),
                         )
                     if callback is None:
-                        # Updates never write into x/z/lam, so keeping
-                        # references (no copies) is safe.
+                        # The next iteration writes the workspace's other
+                        # set, so these references outlive it.
                         best = (iteration, x, z, lam, res)
                     else:
                         # The callback is handed the live arrays and may
@@ -359,7 +453,11 @@ class ADMMLoop:
                         best = (iteration, x.copy(), z.copy(), lam.copy(), res)
                 after_residuals(iteration, res)
                 if history is not None:
-                    history.append(res.pres, res.dres, res.eps_prim, res.eps_dual, rho)
+                    keep_pres(res.pres)
+                    keep_dres(res.dres)
+                    keep_eps_prim(res.eps_prim)
+                    keep_eps_dual(res.eps_dual)
+                    keep_rho(rho_f)
                 if callback is not None:
                     callback(iteration, x, z, lam, res)
                 if res.converged:
@@ -368,6 +466,7 @@ class ADMMLoop:
                     rho = self.balancer.adapt(
                         rho, iteration, res.pres, res.dres, res.eps_prim, res.eps_dual
                     )
+                    rho_f = float(rho)
                 on_iteration_continue(iteration, z, lam, rho)
                 if stall_watch:
                     # ADMM residuals oscillate, so single-iterate

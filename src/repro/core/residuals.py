@@ -16,35 +16,38 @@ where ``B x`` is the gather ``x[global_cols]``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 
-@dataclass(frozen=True)
 class Residuals:
-    pres: float
-    dres: float
-    eps_prim: float
-    eps_dual: float
+    """The four scalars of (16), plus the two tests the loop reads.
 
-    @property
-    def converged(self) -> bool:
-        return self.pres <= self.eps_prim and self.dres <= self.eps_dual
+    ``converged`` is (16) itself.  ``finite`` is False as soon as any
+    iterate went non-finite: the four scalars are norms over ``x``, ``z``,
+    ``z_prev`` and ``lam``, so a single NaN/inf anywhere in the state
+    surfaces here, and the divergence guards check this instead of
+    re-scanning the vectors.  Both are fixed when the record is made.
+    """
 
-    @property
-    def finite(self) -> bool:
-        """False as soon as any iterate went non-finite.
+    __slots__ = ("pres", "dres", "eps_prim", "eps_dual", "converged", "finite")
 
-        The four scalars are norms over ``x``, ``z``, ``z_prev`` and
-        ``lam``, so a single NaN/inf anywhere in the state surfaces here —
-        the divergence guards check this instead of re-scanning the vectors.
-        """
+    def __init__(self, pres: float, dres: float, eps_prim: float, eps_dual: float):
+        self.pres = pres
+        self.dres = dres
+        self.eps_prim = eps_prim
+        self.eps_dual = eps_dual
+        self.converged = pres <= eps_prim and dres <= eps_dual
+        isfinite = math.isfinite
+        self.finite = (
+            isfinite(pres) and isfinite(dres) and isfinite(eps_prim)
+            and isfinite(eps_dual)
+        )
+
+    def __repr__(self) -> str:
         return (
-            math.isfinite(self.pres)
-            and math.isfinite(self.dres)
-            and math.isfinite(self.eps_prim)
-            and math.isfinite(self.eps_dual)
+            f"Residuals(pres={self.pres!r}, dres={self.dres!r}, "
+            f"eps_prim={self.eps_prim!r}, eps_dual={self.eps_dual!r})"
         )
 
 
@@ -56,8 +59,10 @@ def compute_residuals(
     rho: float,
     eps_rel: float,
     backend=None,
+    diff: np.ndarray | None = None,
+    scratch: np.ndarray | None = None,
 ) -> Residuals:
-    """Evaluate (16) from the stacked iterates.
+    """Evaluate (16) from the stacked iterates: five fp64-accumulated dots.
 
     Parameters
     ----------
@@ -68,17 +73,29 @@ def compute_residuals(
     lam:
         Stacked consensus duals.
     backend:
-        Array-execution backend whose fp64-accumulated :meth:`norm` is
-        used; defaults to numpy fp64, which is bit-identical to the
-        historical ``np.linalg.norm`` on fp64 iterates.
+        Array-execution backend; defaults to numpy fp64.  The dots run in
+        its accumulate dtype (fp64): bit-identical to ``np.linalg.norm``
+        on fp64 iterates, and on fp32 iterates (which share one dtype)
+        after one cast each.
+    diff:
+        ``bx - z`` when the caller already holds it.
+    scratch:
+        A buffer for ``z - z_prev`` (allocated when ``None``).
     """
     if backend is None:
         from repro.backend import get_backend
 
         backend = get_backend("numpy64")
-    norm = backend.norm
-    pres = norm(bx - z)
-    dres = float(rho * norm(z - z_prev))
-    eps_prim = float(eps_rel * max(norm(bx), norm(z)))
-    eps_dual = float(eps_rel * norm(lam))
+    xp = backend.xp
+    if diff is None:
+        diff = bx - z
+    dz = xp.subtract(z, z_prev, out=scratch)
+    acc = backend.accumulate_dtype
+    if z.dtype != acc:  # fp32 iterates: accumulate the dots in fp64
+        diff, dz, bx, z, lam = (xp.asarray(v, dtype=acc) for v in (diff, dz, bx, z, lam))
+    sqrt = math.sqrt
+    pres = sqrt(diff.dot(diff))
+    dres = float(rho * sqrt(dz.dot(dz)))
+    eps_prim = float(eps_rel * max(sqrt(bx.dot(bx)), sqrt(z.dot(z))))
+    eps_dual = float(eps_rel * sqrt(lam.dot(lam)))
     return Residuals(pres, dres, eps_prim, eps_dual)

@@ -84,9 +84,14 @@ class SolverFreeADMM(ConsensusADMM):
             comps, offsets, projections=local, backend=self.backend
         )
 
-    def local_update(self, bx, lam, rho):
-        """Eq. (15): batched projection of ``v = B x + lam / rho``."""
-        return self.local_solver.solve(bx + lam / self.rho_vectors(rho)[1])
+    def local_update(self, bx, lam, rho, out=None, lam_rho=None):
+        """Eq. (15): batched projection of ``v = B x + lam / rho``, built in
+        the batched solver's input buffer and written into ``out`` when
+        given (``lam_rho`` is ``lam / rho`` when the caller holds it)."""
+        solver = self.local_solver
+        if lam_rho is None:
+            lam_rho = lam / self.rho_vectors(rho)[1]
+        return solver.solve(self.backend.xp.add(bx, lam_rho, out=solver.v), out)
 
     # ------------------------------------------------------------------
     # Instrumentation for the parallel/GPU performance studies

@@ -17,16 +17,19 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.backend.blas import single_blas_thread
 from repro.backend.policy import HOST_DTYPE
 from repro.utils.exceptions import InfeasibleError
 
 
+@single_blas_thread()
 def reduced_row_echelon(
     a: np.ndarray,
     b: np.ndarray,
     tol: float = 1e-9,
 ) -> tuple[np.ndarray, np.ndarray, list[int]]:
-    """Reduce ``[a | b]`` to RREF and return the full-row-rank system.
+    """Reduce ``[a | b]`` to RREF and return the full-row-rank system (on
+    one BLAS thread, :mod:`repro.backend.blas`).
 
     Parameters
     ----------

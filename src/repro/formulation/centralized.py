@@ -25,6 +25,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
+from repro.backend.blas import single_blas_thread
 from repro.backend.policy import HOST_DTYPE
 from repro.formulation.balance import balance_rows
 from repro.formulation.flow import flow_rows
@@ -116,7 +117,8 @@ def certify_active_set(lp: CentralizedLP, x) -> ActiveSetCertificate | None:
     Every column ``x`` has at a bound (``lb == ub``, or within
     :data:`POLISH_ACTIVE_TOL` of the box width) is fixed at that bound.
     When the remaining columns ``I`` leave ``A_I`` square, one sparse LU
-    solves ``A_I x_I = b - A_A x_A`` and ``A_I^T lam = -c_I``.  The point is
+    solves ``A_I x_I = b - A_A x_A`` and ``A_I^T lam = -c_I`` (on one BLAS
+    thread, :mod:`repro.backend.blas`).  The point is
     returned only when it lies in its box with ``||A x - b||_inf`` at most
     :data:`POLISH_FEASIBILITY_TOL`, the reduced costs ``d = c + A^T lam``
     vanish on ``I`` to :data:`POLISH_REDUCED_COST_TOL`, and the Lagrangian
@@ -135,12 +137,13 @@ def certify_active_set(lp: CentralizedLP, x) -> ActiveSetCertificate | None:
     # x_A at its nearer bound, zeros on I, so A x_pol is A_A x_A.
     x_pol = np.where(active, np.where(x - lb <= ub - x, lb, ub), 0.0)
     a_free = a.tocsc()[:, free]
-    try:
-        lu = splu(a_free)
-    except RuntimeError:  # exactly singular
-        return None
-    x_pol[free] = lu.solve(b - a @ x_pol)
-    lam = lu.solve(-c[free], trans="T")
+    with single_blas_thread():
+        try:
+            lu = splu(a_free)
+        except RuntimeError:  # exactly singular
+            return None
+        x_pol[free] = lu.solve(b - a @ x_pol)
+        lam = lu.solve(-c[free], trans="T")
     if not (np.all(np.isfinite(x_pol)) and np.all(np.isfinite(lam))):
         return None
     if np.any(x_pol < lb) or np.any(x_pol > ub):

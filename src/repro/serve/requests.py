@@ -73,6 +73,10 @@ class SolveOptions:
     polish: bool = True
 
     def __post_init__(self) -> None:
+        _require_finite("rho", self.rho)
+        _require_finite("eps_rel", self.eps_rel)
+        if self.deadline_s is not None:
+            _require_finite("deadline_s", self.deadline_s)
         if self.rho <= 0 or self.eps_rel <= 0:
             raise ValueError("rho and eps_rel must be positive")
         if self.max_iter < 1:

@@ -184,19 +184,25 @@ class ConicSolverFreeADMM(ConsensusADMM):
             comps, offsets, projections=local, backend=self.backend
         )
 
-    def local_update(self, bx, lam, rho):
+    def local_update(self, bx, lam, rho, out=None, lam_rho=None):
         """Batched closed-form projections of ``v = B x + lam / rho``:
-        every scenario's affine blocks in one batch, then every cone."""
+        every scenario's affine blocks in one batch, then every cone, each
+        written straight into ``z`` (``out`` when given; ``lam_rho`` is
+        ``lam / rho`` when the caller holds it)."""
         b = self.backend
+        xp = b.xp
         k_n, n_linear = self.k_n, self.n_linear
-        v = (bx + lam / self.rho_vectors(rho)[1]).reshape(k_n, -1)
-        z = b.empty(self.n_local)
-        zmat = z.reshape(k_n, -1)
-        zmat[:, :n_linear] = self.linear_solver.solve(
-            b.xp.ascontiguousarray(v[:, :n_linear]).reshape(-1)
-        ).reshape(k_n, n_linear)
-        cone = v[:, n_linear:].reshape(-1, 4)
+        if lam_rho is None:
+            lam_rho = lam / self.rho_vectors(rho)[1]
+        z = b.empty(self.n_local) if out is None else out
+        bxm, lrm, zm = bx.reshape(k_n, -1), lam_rho.reshape(k_n, -1), z.reshape(k_n, -1)
+        solver = self.linear_solver
+        xp.add(bxm[:, :n_linear], lrm[:, :n_linear], out=solver.v.reshape(k_n, n_linear))
+        solver.solve(solver.v, out=zm[:, :n_linear])
+        cone = xp.add(bxm[:, n_linear:], lrm[:, n_linear:]).reshape(-1, 4)
         u, w, pq = project_rotated_soc_batch(cone[:, 0], cone[:, 1], cone[:, 2:])
-        out = b.xp.concatenate([u[:, None], w[:, None], pq], axis=1)
-        zmat[:, n_linear:] = out.reshape(k_n, -1)
+        zc = zm[:, n_linear:].reshape(k_n, -1, 4)
+        zc[..., 0] = u.reshape(k_n, -1)
+        zc[..., 1] = w.reshape(k_n, -1)
+        zc[..., 2:] = pq.reshape(k_n, -1, 2)
         return z

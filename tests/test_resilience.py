@@ -233,7 +233,7 @@ class TestReassignment:
         np.testing.assert_array_equal(np.sort(stacked), np.arange(28))
 
 
-class TestFaultTolerantRunner:
+class TestDistributedADMMRunner:
     def test_clean_run_matches_plain_runner_exactly(self, small_dec):
         cfg = ADMMConfig(max_iter=80, record_history=True)
         plain = DistributedADMMRunner(small_dec, 3, CPU_CLUSTER_COMM, cfg).solve()
