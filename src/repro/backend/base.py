@@ -74,12 +74,17 @@ class Backend:
         return self.xp.asarray(idx, dtype=self.xp.int64)
 
     # -- the ADMM primitives -------------------------------------------
-    def scatter_add(self, idx, weights, minlength: int):
-        """``out[i] = sum(weights[idx == i])`` — the consensus gather of
-        the global update (18).  Accumulates in fp64 (``bincount``'s
-        native accumulator), then rounds once to the compute dtype."""
-        out = self.xp.bincount(idx, weights=weights, minlength=minlength)
-        return out.astype(self.compute_dtype, copy=False)
+    def scatter_add(self, idx, weights, minlength: int, out=None):
+        """``sum(weights[idx == i])`` for each ``i`` — the consensus gather
+        of the global update (18).  Accumulates in fp64 (``bincount``'s
+        native accumulator) and rounds once to a narrower compute dtype,
+        into ``out`` when given.  An fp64 sum is returned as it is and
+        ``out`` left alone."""
+        total = self.xp.bincount(idx, weights=weights, minlength=minlength)
+        if out is None or total.dtype == self.compute_dtype:
+            return total.astype(self.compute_dtype, copy=False)
+        out[...] = total
+        return out
 
     def clip(self, x, lo, hi, out=None):
         """Elementwise box projection (the only place bounds (9d) live),

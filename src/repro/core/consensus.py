@@ -46,7 +46,9 @@ def global_update(backend, gcols, counts, c, z, lam, rho, bounds=None, rho_local
     xp = backend.xp
     rho_local = rho if rho_local is None else rho_local
     lam_rho = xp.divide(lam, rho_local, out=lam_rho)
-    scatter = backend.scatter_add(gcols, xp.subtract(z, lam_rho, out=zl), counts.size)
+    scatter = backend.scatter_add(
+        gcols, xp.subtract(z, lam_rho, out=zl), counts.size, out=out
+    )
     xhat = xp.subtract(scatter, c / rho if c_rho is None else c_rho, out=out)
     xhat = xp.divide(xhat, counts, out=out)
     return xhat if bounds is None else backend.clip(xhat, *bounds, out=out)

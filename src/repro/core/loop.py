@@ -93,11 +93,16 @@ class Workspace:
     * ``step`` - ``rho (B x - z)``, then ``z - z_prev`` for the dual
       residual.
 
+    When the compute dtype is narrower than the accumulate dtype (fp32
+    iterates), ``cast`` holds five accumulate-dtype vectors the residual
+    dots read their operands from; otherwise it is ``None``.
+
     Strategies that keep their own arrays (the simulated-MPI runner)
     ignore it.
     """
 
-    __slots__ = ("x", "bx", "z", "lam", "lam_rho", "zl", "diff", "step", "_idle")
+    __slots__ = ("x", "bx", "z", "lam", "lam_rho", "zl", "diff", "step", "cast",
+                 "_idle")
 
     def __init__(self, backend: Backend, n: int, n_local: int):
         def iterate_set():
@@ -108,6 +113,10 @@ class Workspace:
         self._idle = iterate_set()
         self.lam_rho, self.zl, self.diff, self.step = (
             backend.empty(n_local) for _ in range(4)
+        )
+        acc = backend.accumulate_dtype
+        self.cast = None if backend.compute_dtype == acc else tuple(
+            backend.xp.empty(n_local, dtype=acc) for _ in range(5)
         )
 
     def flip(self) -> None:
@@ -178,7 +187,8 @@ class IterationStrategy:
     gcols = None
     c = None
     #: The decomposed problem; a result reports the primal violation of
-    #: its ``lp`` when it has one.
+    #: its ``model`` when that model reports one (the LP and the conic
+    #: relaxation do).
     dec = None
     #: The :class:`Workspace` of the run in progress (``None`` between
     #: runs): the update hooks write their outputs into it.
@@ -423,7 +433,8 @@ class ADMMLoop:
                     res = strategy_residuals(iteration, x, bx, z, z_prev, lam, rho)
                 else:
                     res = compute(
-                        bx, z, z_prev, lam, rho, eps_rel, backend, pres_diff, ws.step
+                        bx, z, z_prev, lam, rho, eps_rel, backend, pres_diff, ws.step,
+                        ws.cast,
                     )
                 t4 = clock() if stamp else 0.0
                 if record:
@@ -518,7 +529,7 @@ class ADMMLoop:
         b = self.backend
         res = outcome.res
         x = b.to_numpy(outcome.x)
-        lp = getattr(strat.dec, "lp", None)
+        violation = getattr(getattr(strat.dec, "model", None), "primal_violation", None)
         return ADMMResult(
             x=x,
             z=b.to_numpy(outcome.z),
@@ -531,5 +542,5 @@ class ADMMLoop:
             history=outcome.history,
             timers=strat.final_timers(outcome.timers),
             algorithm=strat.final_algorithm_name(),
-            primal_violation=None if lp is None else lp.primal_violation(x),
+            primal_violation=None if violation is None else violation(x),
         )

@@ -61,6 +61,7 @@ def compute_residuals(
     backend=None,
     diff: np.ndarray | None = None,
     scratch: np.ndarray | None = None,
+    cast: tuple | None = None,
 ) -> Residuals:
     """Evaluate (16) from the stacked iterates: five fp64-accumulated dots.
 
@@ -81,6 +82,9 @@ def compute_residuals(
         ``bx - z`` when the caller already holds it.
     scratch:
         A buffer for ``z - z_prev`` (allocated when ``None``).
+    cast:
+        Five vectors in the accumulate dtype that fp32 iterates are cast
+        into (allocated when ``None``); unused on fp64 iterates.
     """
     if backend is None:
         from repro.backend import get_backend
@@ -91,8 +95,16 @@ def compute_residuals(
         diff = bx - z
     dz = xp.subtract(z, z_prev, out=scratch)
     acc = backend.accumulate_dtype
-    if z.dtype != acc:  # fp32 iterates: accumulate the dots in fp64
-        diff, dz, bx, z, lam = (xp.asarray(v, dtype=acc) for v in (diff, dz, bx, z, lam))
+    if z.dtype != acc:  # fp32 iterates: accumulate the dots in fp64 copies
+        if cast is None:
+            cast = tuple(xp.empty(z.shape, dtype=acc) for _ in range(5))
+        w_diff, w_dz, w_bx, w_z, w_lam = cast
+        w_diff[...] = diff
+        w_dz[...] = dz
+        w_bx[...] = bx
+        w_z[...] = z
+        w_lam[...] = lam
+        diff, dz, bx, z, lam = cast
     sqrt = math.sqrt
     pres = sqrt(diff.dot(diff))
     dres = float(rho * sqrt(dz.dot(dz)))

@@ -48,9 +48,10 @@ class ADMMResult:
     next solve after a topology change).  ``timers`` holds accumulated wall
     time per update phase ("global", "local", "dual", "residual").
 
-    ``primal_violation`` (``||A x - b||_inf`` or the worst bound
-    violation, whichever is larger) is reported whenever the solved
-    problem has an LP (``strategy.dec.lp``).
+    ``primal_violation`` is reported whenever the solved problem's model
+    (``strategy.dec.model``) reports one: on an LP the larger of ``||A x -
+    b||_inf`` and the worst bound violation, on the conic relaxation the
+    largest of those two and the worst cone violation.
     """
 
     x: np.ndarray

@@ -36,6 +36,21 @@ from repro.network.network import DistributionNetwork
 from repro.utils.exceptions import FormulationError
 
 
+def equality_violation(a, b: np.ndarray, x: np.ndarray) -> float:
+    """Infinity norm of ``a x - b`` (0 with no rows)."""
+    return float(np.max(np.abs(a @ x - b))) if b.size else 0.0
+
+
+def bound_violation(x: np.ndarray, lb: np.ndarray, ub: np.ndarray) -> float:
+    """Largest distance of an entry of ``x`` below ``lb`` or above ``ub``."""
+    return float(
+        max(
+            np.max(np.maximum(lb - x, 0.0), initial=0.0),
+            np.max(np.maximum(x - ub, 0.0), initial=0.0),
+        )
+    )
+
+
 @dataclass
 class CentralizedLP:
     """The assembled centralized LP (7) plus its symbolic structure."""
@@ -70,15 +85,10 @@ class CentralizedLP:
 
     def equality_violation(self, x: np.ndarray) -> float:
         """Infinity norm of ``A x - b`` at ``x``."""
-        return float(np.max(np.abs(self.a_matrix @ x - self.b_vector))) if self.n_rows else 0.0
+        return equality_violation(self.a_matrix, self.b_vector, x)
 
     def bound_violation(self, x: np.ndarray) -> float:
-        return float(
-            max(
-                np.max(np.maximum(self.lb - x, 0.0), initial=0.0),
-                np.max(np.maximum(x - self.ub, 0.0), initial=0.0),
-            )
-        )
+        return bound_violation(x, self.lb, self.ub)
 
     def primal_violation(self, x: np.ndarray) -> float:
         """The larger of ``||A x - b||_inf`` and the worst bound violation."""

@@ -16,14 +16,17 @@ Tikhonov-regularized steps solves it in a handful of iterations.
 projects every component of a stacked vector at once, the way the
 benchmark ADMM's ``projection`` local mode runs (the qp rung of the
 fidelity ladder, its serving batches and its layered benchmark, all of
-which time it): one stacked Newton pass per width bucket, a per-component
-cache of the Jacobian inverse keyed by the free mask, and
+which time it): a first Newton pass over every width bucket at once, later
+passes per bucket on the few components still unconverged, a
+per-component cache of the Jacobian inverse keyed by the free mask, and
 :func:`project_box_affine` itself for any component the plain full-step
 pass cannot finish.  Table V and Fig. 1 time the authentic
 interior-point path instead.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -82,7 +85,7 @@ def project_box_affine(
     b = np.asarray(b, dtype=float).reshape(-1)
     m, n = a.shape if a.ndim == 2 else (0, v.shape[0])
     if m == 0:
-        return np.clip(v, lb, ub).astype(out_dtype, copy=False)
+        return np.minimum(np.maximum(v, lb), ub).astype(out_dtype, copy=False)
 
     x = _project(v, a, b, lb, ub, tol, max_iter)
     if x is None:
@@ -97,19 +100,38 @@ def project_box_affine(
     return x.astype(out_dtype, copy=False)
 
 
+def _clip_point(v, at, nu, lb, ub):
+    """``clip(v - A^T nu, lb, ub)``, allocating one array."""
+    x = v - at @ nu
+    return np.minimum(np.maximum(x, lb, out=x), ub, out=x)
+
+
+def _affine_residual(a, x, b):
+    """``(A x - b, ||A x - b||)``."""
+    phi = a @ x
+    phi -= b
+    return phi, math.sqrt(phi.dot(phi))
+
+
 def _project(v, a, b, lb, ub, tol, max_iter) -> np.ndarray | None:
-    """Semismooth Newton, then the interior-point QP; ``None`` if both fail."""
+    """Semismooth Newton, then the interior-point QP; ``None`` if both fail.
+
+    Every clip is ``minimum(maximum(.))`` and every norm ``sqrt(r . r)``:
+    the bits of ``np.clip`` and ``np.linalg.norm`` without their wrappers,
+    which the line search would call about 150 times per projection.
+    """
     m, n = a.shape
+    at = a.T
     nu = np.zeros(m)
-    x = np.clip(v - a.T @ nu, lb, ub)
-    phi = a @ x - b
-    norm = np.linalg.norm(phi)
-    scale = max(1.0, float(np.linalg.norm(b)))
+    x = _clip_point(v, at, nu, lb, ub)
+    phi, norm = _affine_residual(a, x, b)
+    scale = max(1.0, math.sqrt(b.dot(b)))
+    goal = tol * scale
 
     for _ in range(max_iter):
-        if norm <= tol * scale:
+        if norm <= goal:
             return x
-        inner = v - a.T @ nu
+        inner = v - at @ nu
         active_free = (inner > lb) & (inner < ub)
         ad = a[:, active_free]
         jac0 = ad @ ad.T
@@ -129,10 +151,9 @@ def _project(v, a, b, lb, ub, tol, max_iter) -> np.ndarray | None:
             t = 1.0
             for _ in range(30):
                 nu_new = nu + t * step
-                x_new = np.clip(v - a.T @ nu_new, lb, ub)
-                phi_new = a @ x_new - b
-                norm_new = np.linalg.norm(phi_new)
-                if norm_new < norm * (1 - 1e-4 * t) or norm_new <= tol * scale:
+                x_new = _clip_point(v, at, nu_new, lb, ub)
+                phi_new, norm_new = _affine_residual(a, x_new, b)
+                if norm_new < norm * (1 - 1e-4 * t) or norm_new <= goal:
                     nu, x, phi, norm = nu_new, x_new, phi_new, norm_new
                     improved = True
                     break
@@ -174,103 +195,103 @@ class _Bucket:
     and ``phi`` stays exactly zero.  A component's padded shape depends on
     its own size only, and every stacked call below acts on each component
     separately, so its result never depends on the bucket's other members.
+
+    Its vectors are ``(S, w)`` views of the projector's padded buffers
+    (the slots ``vec``), with ``(S, w, 1)`` twins named with a trailing 3
+    for the products, and its per-component arrays views of the
+    projector's (the rows ``rows``).
     """
 
-    def __init__(self, comps, m, a, b, lb, ub, slots):
-        self.width = a.shape[-1]
-        self.comps = comps
-        self.m = m
-        self.slice = slots
-        self.a, self.b, self.lb, self.ub = a, b, lb, ub
+    def __init__(self, owner, comps, m, vec, rows, a, inv):
+        self.width, self.comps, self.m = a.shape[-1], comps, m
+        self.vec, self.rows = vec, rows
+        self.a, self.at = a, a.transpose(0, 2, 1)
+        block = self.block
+        self.b, self.lb, self.ub = block(owner._b), block(owner._lb), block(owner._ub)
         self.tol_scale = TOL * np.maximum(1.0, _row_norms(self.b))
+        self.v, self.x, self.t, self.sq, self.free = (
+            block(buf) for buf in (owner._v, owner._x, owner._t, owner._sq, owner._free)
+        )
+        self.phi, self.phi_new, self.step = (
+            block(buf) for buf in (owner._phi, owner._phi_new, owner._step)
+        )
+        self.x3, self.t3, self.phi3, self.phi_new3, self.step3 = (
+            arr[:, :, None] for arr in (self.x, self.t, self.phi, self.phi_new, self.step)
+        )
+        self.norm, self.norm_new = owner._norm[rows], owner._norm_new[rows]
+        self.every = np.arange(comps.size)
         # One cache slot per component: its last free mask and the
         # inverse of that mask's regularized Jacobian.
-        self.mask = np.zeros(b.shape, dtype=bool)
-        self.inv = np.empty(a.shape)
-        self.cached = np.zeros(comps.size, dtype=bool)
+        self.mask, self.cached, self.inv = block(owner._mask), owner._cached[rows], inv
         self.rebuilds = 0
 
-    def inverses(self, idx, rows, mask):
-        """The Jacobian inverses of rows ``idx`` (selected by ``rows``, a
-        slice when ``idx`` is the whole bucket) at free mask ``mask``:
-        cache hits as stored, misses rebuilt in one stacked call.
+    def block(self, buf: np.ndarray) -> np.ndarray:
+        """The bucket's ``(S, w)`` block of a padded vector."""
+        return buf[self.vec].reshape(self.comps.size, self.width)
+
+    def refresh(self, idx, mask):
+        """Make the cached inverses of rows ``idx`` those of free masks
+        ``mask``: slots already holding that mask are kept, the misses
+        rebuilt in one stacked call.
 
         The regularization keeps every LU pivot of order ``REG`` times the
         mean diagonal, far above its rounding error, so no pivot is zero;
         an inverse that is not finite gives a step the acceptance test
         rejects.
         """
-        hit = np.logical_and.reduce(mask == self.mask[rows], axis=1)
-        hit &= self.cached[rows]
-        if not hit.all():
-            miss = np.flatnonzero(~hit)
-            built = idx[miss]
-            ad = self.a[built] * mask[miss][:, None, :]
-            jac = ad @ ad.transpose(0, 2, 1)
-            m = self.m[built]
-            trace = np.maximum(np.trace(jac, axis1=1, axis2=2) / np.maximum(m, 1), 1.0)
-            jac.reshape(built.size, -1)[:, :: self.width + 1] += np.where(
-                np.arange(self.width) < m[:, None], (REG * trace)[:, None], 1.0
-            )
-            self.inv[built] = np.linalg.inv(jac)
-            self.mask[built] = mask[miss]
-            self.cached[built] = True
-            self.rebuilds += built.size
-        return self.inv[rows]
+        hit = np.logical_and.reduce(mask == self.mask[idx], axis=1)
+        hit &= self.cached[idx]
+        if hit.all():
+            return
+        miss = np.flatnonzero(~hit)
+        built = idx[miss]
+        ad = self.a[built] * mask[miss][:, None, :]
+        jac = ad @ ad.transpose(0, 2, 1)
+        m = self.m[built]
+        trace = np.maximum(np.trace(jac, axis1=1, axis2=2) / np.maximum(m, 1), 1.0)
+        jac.reshape(built.size, -1)[:, :: self.width + 1] += np.where(
+            np.arange(self.width) < m[:, None], (REG * trace)[:, None], 1.0
+        )
+        self.inv[built] = np.linalg.inv(jac)
+        self.mask[built] = mask[miss]
+        self.cached[built] = True
+        self.rebuilds += built.size
 
-    def newton(self, v, x, skip):
-        """Project the bucket's targets ``v`` (``(S, w)``) into ``x``.
+    def newton(self, idx, nu, phi, norm):
+        """Newton passes 2, 3, ... for rows ``idx``, which carry the first
+        pass's ``nu``, ``phi`` and ``||phi||``.
 
         Runs :func:`project_box_affine`'s iteration restricted to full
-        steps at the first regularization level.  Returns the rows that
-        step cannot finish (rejected step or budget spent) as a list of
-        index arrays; their ``x`` rows are left for the scalar routine.
-        Rows in ``skip`` (non-finite targets) get NaN.
+        steps at the first regularization level, on copies of the rows
+        still unconverged, and writes each finished row into the output
+        block ``t``.  Returns the rows a step cannot finish (rejected step
+        or budget spent) as a list of index arrays; they are left for the
+        scalar routine.
         """
-        np.minimum(np.maximum(v, self.lb, out=x), self.ub, out=x)
-        phi = _matvec(self.a, x) - self.b
-        norm = _row_norms(phi)
-        todo = norm > self.tol_scale
-        if skip is not None:
-            x[skip] = np.nan
-            todo &= ~skip
-        idx = np.flatnonzero(todo)
-        size = self.comps.size
-        if idx.size < size:
-            phi, norm = phi[idx], norm[idx]
-        nu = None
         rejected = []
-        for _ in range(MAX_ITER):
-            if not idx.size:
-                break
-            # A pass over the whole bucket works on views, later passes on
-            # copies of their rows.
-            rows = slice(None) if idx.size == size else idx
-            a, v_i, lb, ub, b, ts = (
-                arr[rows] for arr in (self.a, v, self.lb, self.ub, self.b, self.tol_scale)
+        for _ in range(MAX_ITER - 1):
+            a, v, lb, ub, b, ts = (
+                arr[idx] for arr in (self.a, self.v, self.lb, self.ub, self.b, self.tol_scale)
             )
             at = a.transpose(0, 2, 1)
-            # nu = 0 on the first pass, where v - A^T nu is v itself.
-            inner = v_i if nu is None else v_i - _matvec(at, nu)
-            inv = self.inverses(idx, rows, (inner > lb) & (inner < ub))
-            step = _matvec(inv, phi)
-            nu = step if nu is None else nu + step
-            x_new = np.minimum(np.maximum(v_i - _matvec(at, nu), lb), ub)
+            inner = v - _matvec(at, nu)
+            self.refresh(idx, (inner > lb) & (inner < ub))
+            nu = nu + _matvec(self.inv[idx], phi)
+            x_new = np.minimum(np.maximum(v - _matvec(at, nu), lb), ub)
             phi_new = _matvec(a, x_new) - b
             norm_new = _row_norms(phi_new)
             done = norm_new <= ts
             if done.all():
-                # The common case: every row converged in this pass.
-                x[rows] = x_new
-                break
+                self.t[idx] = x_new
+                return rejected
             ok = done | (norm_new < norm * ACCEPT)
-            finished = ok & done
-            x[idx[finished]] = x_new[finished]
+            self.t[idx[done]] = x_new[done]
             rejected.append(idx[~ok])
             keep = ok & ~done
             idx, nu, phi, norm = idx[keep], nu[keep], phi_new[keep], norm_new[keep]
-        else:
-            rejected.append(idx)
+            if not idx.size:
+                return rejected
+        rejected.append(idx)
         return rejected
 
 
@@ -281,28 +302,42 @@ class BoxAffineProjector:
     the stacked bounds: component ``s`` owns the next ``a.shape[1]``
     entries of the stacked vector.  Components are grouped by the
     power-of-two padding width of :class:`repro.core.batch.
-    BatchedLocalSolver` and each Newton pass runs over a bucket's
-    unconverged components at once: the scalar routine's free mask, its
-    first regularization level (``REG`` times the mean diagonal over the
-    component's true row count) and its full step and acceptance test.
+    BatchedLocalSolver`; every bucket's ``(S_b, w)`` block lies end to end
+    in one padded layout, and each Newton pass is the scalar routine's
+    free mask, its first regularization level (``REG`` times the mean
+    diagonal over the component's true row count) and its full step and
+    acceptance test.
+
+    The first pass runs over every bucket at once: each elementwise step
+    (the clip, ``- b``, the squares, the free mask, the step update and
+    the re-clip) is one operation on the whole padded vector, and each
+    product one ``matmul`` per bucket on its ``(S_b, w, w)`` block.  Row
+    norms reduce each bucket's contiguous ``(S_b, w)`` block, the layout
+    the sum order depends on.  Later passes run per bucket on copies of
+    the few rows still unconverged.
+
     The regularized Jacobian depends only on ``A_s`` and the free mask, so
     each component keeps one cache slot (its last mask and that Jacobian's
-    inverse); misses are rebuilt in one stacked call.  A component whose
-    full step is rejected (a factorization that broke down into a
-    non-finite inverse included) or which is unconverged after
-    ``MAX_ITER`` passes is projected again from scratch by
-    :func:`project_box_affine`, with its Levenberg–Marquardt escalation,
-    line search and interior-point fallback, so every answer is the exact
-    projection.
+    inverse); the slots' masks are views of one padded array, so the
+    first pass's hit test is one whole-vector comparison, and misses are
+    rebuilt per bucket in one stacked call.  A component whose full step
+    is rejected (a factorization that broke down into a non-finite
+    inverse included) or which is unconverged after ``MAX_ITER`` passes is
+    projected again from scratch by :func:`project_box_affine`, with its
+    Levenberg–Marquardt escalation, line search and interior-point
+    fallback, so every answer is the exact projection.
 
     A component's result depends on its own data and target only: not on
     the other components, their order or the cache's contents.  A target
     with a non-finite entry projects to NaN, with no Newton or
-    interior-point attempt.
+    interior-point attempt; a component already feasible at ``nu = 0``
+    keeps ``clip(v)`` and its cache slot.
 
-    Everything runs in fp64 on the host.  ``fallbacks`` counts the
-    projections handed to :func:`project_box_affine` and ``rebuilds`` the
-    Jacobian inverses built, both over the projector's lifetime.
+    Everything runs in fp64 on the host, the first pass in buffers
+    allocated here.  A caller that builds the target in :attr:`v`, the
+    input buffer, spares the copy in.  ``fallbacks`` counts the projections handed to
+    :func:`project_box_affine` and ``rebuilds`` the Jacobian inverses
+    built, both over the projector's lifetime.
     """
 
     def __init__(self, systems, lb: np.ndarray, ub: np.ndarray):
@@ -331,12 +366,15 @@ class BoxAffineProjector:
         self._stack_from_pad[stacked] = pad
         self._v_stack = np.zeros(self.n + 1)
         self._v_stack[: self.n] = lb
-        lb_pad = self._v_stack.take(self._pad_from_stack)
+        self._lb = self._v_stack.take(self._pad_from_stack)
         self._v_stack[: self.n] = ub
-        ub_pad = self._v_stack.take(self._pad_from_stack)
-        b_pad = np.zeros(n_pad)
+        self._ub = self._v_stack.take(self._pad_from_stack)
+        self._v_stack[: self.n] = 0.0
+        #: The input buffer: a target built here is projected without a copy.
+        self.v = self._v_stack[: self.n]
+        self._b = np.zeros(n_pad)
         ordered = [systems[s] for s in order.tolist()]
-        b_pad[np.repeat(first, m) + _lanes(m)] = np.concatenate([b for _, b in ordered])
+        self._b[np.repeat(first, m) + _lanes(m)] = np.concatenate([b for _, b in ordered])
         # Row i of component s's A starts at i * w of its block.
         a_pad = np.zeros(int(block[-1] + w[-1] ** 2))
         row_len = np.repeat(n, m)
@@ -344,41 +382,128 @@ class BoxAffineProjector:
         a_pad[np.repeat(row_start, row_len) + _lanes(row_len)] = np.concatenate(
             [a.ravel() for a, _ in ordered]
         )
+        inv_pad = np.zeros_like(a_pad)
+        # The padded vectors of a call: the target, clip(v), the first
+        # pass's x_new (the output), phi before and after the step, the
+        # squares and the step; the free mask and a comparison scratch;
+        # the cache slots' masks.
+        self._v, self._x, self._t, self._phi, self._phi_new, self._sq, self._step = (
+            np.empty(n_pad) for _ in range(7)
+        )
+        self._free, self._scratch = np.empty(n_pad, bool), np.empty(n_pad, bool)
+        self._mask = np.zeros(n_pad, bool)
+        # Per component, in bucket order.
+        size = order.size
+        self._norm, self._norm_new = np.empty(size), np.empty(size)
+        self._todo, self._done = np.empty(size, bool), np.empty(size, bool)
+        self._cached = np.zeros(size, bool)
+        self._all_cached = False
         self.buckets = []
         bounds = np.flatnonzero(np.diff(w)) + 1
-        for lo, hi in zip([0, *bounds.tolist()], [*bounds.tolist(), order.size]):
+        for lo, hi in zip([0, *bounds.tolist()], [*bounds.tolist(), size]):
             k, width = hi - lo, int(w[lo])
             vec = slice(int(first[lo]), int(first[lo]) + k * width)
             mat = slice(int(block[lo]), int(block[lo]) + k * width * width)
             self.buckets.append(_Bucket(
-                order[lo:hi], m[lo:hi], a_pad[mat].reshape(k, width, width),
-                b_pad[vec].reshape(k, width), lb_pad[vec].reshape(k, width),
-                ub_pad[vec].reshape(k, width), vec,
+                self, order[lo:hi], m[lo:hi], vec, slice(lo, hi),
+                a_pad[mat].reshape(k, width, width), inv_pad[mat].reshape(k, width, width),
             ))
-        self._x_pad = np.empty(n_pad)
+        # (A, x, phi, squares, norms) per bucket, at clip(v) and at x_new.
+        self._at_x = [(bk.a, bk.x3, bk.phi3, bk.sq, bk.norm) for bk in self.buckets]
+        self._at_t = [(bk.a, bk.t3, bk.phi_new3, bk.sq, bk.norm_new) for bk in self.buckets]
+        self._tol = np.concatenate([bk.tol_scale for bk in self.buckets])
+        self._row_bounds = np.array([0, *(bk.rows.stop for bk in self.buckets)])
+        self._comps = order
         self.fallbacks = 0
 
     @property
     def rebuilds(self) -> int:
         return sum(bk.rebuilds for bk in self.buckets)
 
-    def project(self, v: np.ndarray) -> np.ndarray:
-        """Every component's projection of the stacked fp64 vector ``v``."""
-        self._v_stack[: self.n] = v
-        v_pad = self._v_stack.take(self._pad_from_stack)
-        x_pad = self._x_pad
-        finite = bool(np.isfinite(v_pad).all())
-        fallback = []
+    def _affine_residuals(self, products, phi, norm) -> None:
+        """``phi = A x - b`` and its row norms, every bucket at once."""
+        for a, x, phi_b, _, _ in products:
+            np.matmul(a, x, out=phi_b)
+        np.subtract(phi, self._b, out=phi)
+        np.multiply(phi, phi, out=self._sq)
+        for _, _, _, sq, norm_b in products:
+            np.add.reduce(sq, axis=1, out=norm_b)
+        np.sqrt(norm, out=norm)
+
+    def project(self, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Every component's projection of the stacked fp64 vector ``v``,
+        into ``out`` (any float dtype) when given."""
+        if v is not self.v:
+            self.v[...] = v
+        vp, x, t, lb, ub = self._v, self._x, self._t, self._lb, self._ub
+        self._v_stack.take(self._pad_from_stack, out=vp, mode="clip")
+        np.minimum(np.maximum(vp, lb, out=x), ub, out=x)
+        skip = None if np.isfinite(vp).all() else self._non_finite()
+        self._affine_residuals(self._at_x, self._phi, self._norm)
+        todo = np.greater(self._norm, self._tol, out=self._todo)
+        if skip is not None:
+            todo &= ~skip
+        # The first pass: nu = 0, where v - A^T nu is v itself.
+        free = np.logical_and(
+            np.greater(vp, lb, out=self._free), np.less(vp, ub, out=self._scratch),
+            out=self._free,
+        )
+        every = bool(todo.all())
+        if not (
+            every and self._all_cached
+            and not np.not_equal(free, self._mask, out=self._scratch).any()
+        ):
+            for bk in self.buckets:
+                idx = bk.every if every else np.flatnonzero(todo[bk.rows])
+                if idx.size:
+                    bk.refresh(idx, bk.free[idx])
+            self._all_cached = bool(self._cached.all())
         for bk in self.buckets:
-            shape = (bk.comps.size, bk.width)
-            vb = v_pad[bk.slice].reshape(shape)
-            skip = None if finite else ~np.isfinite(vb).all(axis=1)
-            for rows in bk.newton(vb, x_pad[bk.slice].reshape(shape), skip):
-                fallback.extend(bk.comps[rows].tolist())
-        z = x_pad.take(self._stack_from_pad)
+            np.matmul(bk.inv, bk.phi3, out=bk.step3)
+            np.matmul(bk.at, bk.step3, out=bk.t3)
+        np.subtract(vp, t, out=t)
+        np.minimum(np.maximum(t, lb, out=t), ub, out=t)
+        self._affine_residuals(self._at_t, self._phi_new, self._norm_new)
+        done = np.less_equal(self._norm_new, self._tol, out=self._done)
+        if not every:
+            # Components the pass skipped keep clip(v), or NaN.
+            for bk in self.buckets:
+                idx = np.flatnonzero(~todo[bk.rows])
+                bk.t[idx] = bk.x[idx]
+            done |= ~todo
+        fallback = [] if done.all() else self._later_passes(done)
+        z = t.take(self._stack_from_pad, out=out, mode="clip")
         self.fallbacks += len(fallback)
         for s in fallback:
             sl = slice(int(self.offsets[s]), int(self.offsets[s + 1]))
             a, b = self.systems[s]
-            z[sl] = project_box_affine(self._v_stack[sl], a, b, self.lb[sl], self.ub[sl])
+            z[sl] = project_box_affine(self.v[sl], a, b, self.lb[sl], self.ub[sl])
         return z
+
+    def _later_passes(self, done: np.ndarray) -> list:
+        """Finish the components the first pass left undone: its rejected
+        steps, and the rest through their buckets' later passes.  Returns
+        the components left for the scalar routine."""
+        rows = np.flatnonzero(~done)
+        ok = self._norm_new[rows] < self._norm[rows] * ACCEPT
+        fallback = self._comps[rows[~ok]].tolist()
+        rows = rows[ok]
+        cuts = np.searchsorted(rows, self._row_bounds).tolist()
+        for bk, lo, hi in zip(self.buckets, cuts, cuts[1:]):
+            if lo < hi:
+                idx = rows[lo:hi] - bk.rows.start
+                for rejected in bk.newton(
+                    idx, bk.step[idx], bk.phi_new[idx], bk.norm_new[idx]
+                ):
+                    fallback.extend(bk.comps[rejected].tolist())
+        return fallback
+
+    def _non_finite(self) -> np.ndarray:
+        """The components whose target has a non-finite entry, their
+        ``clip(v)`` rows set to NaN so the pass computes no inf."""
+        bad = ~np.isfinite(self._v)
+        skip = np.empty(self._cached.size, bool)
+        for bk in self.buckets:
+            rows = np.logical_or.reduce(bk.block(bad), axis=1, out=skip[bk.rows])
+            bk.x[rows] = np.nan
+        return skip

@@ -124,6 +124,11 @@ class ScenarioProblem:
     lp: object = None
     conic: object = None
 
+    @property
+    def model(self):
+        """The scenario's model: ``lp``, or ``conic`` on the socp rung."""
+        return self.lp if self.lp is not None else self.conic
+
 
 @dataclass(frozen=True)
 class _LoadRow:
@@ -1200,7 +1205,7 @@ class ScenarioEngine:
             error=f"batched solve diverged after {attempts} attempts",
             attempts=attempts,
         )
-        degradable = p.lp is not None or p.conic is not None
+        degradable = p.model is not None
         if self.resilience.degrade_to_reference and degradable:
             try:
                 with self.timers.measure("degrade"):
@@ -1223,9 +1228,7 @@ class ScenarioEngine:
                     iterations=0,
                     degraded=True,
                     attempts=attempts,
-                    primal_violation=(
-                        p.lp.primal_violation(ref.x) if p.lp is not None else None
-                    ),
+                    primal_violation=p.model.primal_violation(ref.x),
                 )
         resp.latency_seconds = self._latency(req)
         self.metrics.record_response(resp.status, 0, False, resp.latency_seconds)
@@ -1382,7 +1385,8 @@ class ScenarioEngine:
                 certified=certificate is not None,
                 gap=None if certificate is None else certificate.gap,
                 primal_violation=(
-                    p.lp.primal_violation(x_k) if answered and p.lp is not None else None
+                    p.model.primal_violation(x_k)
+                    if answered and p.model is not None else None
                 ),
             )
             if timed_out[k]:

@@ -224,9 +224,9 @@ class OPFResponse:
 
     ``certified`` marks an answer whose optimality was proven by the
     active-set polish, with ``gap`` its relative certified gap;
-    ``primal_violation`` (``||A x - b||_inf`` or the worst bound
-    violation, whichever is larger) is reported for every answer that has
-    an LP.
+    ``primal_violation`` is reported for every answer: the larger of
+    ``||A x - b||_inf`` and the worst bound violation on the LP rungs,
+    and also the worst cone violation on the socp rung.
     """
 
     request_id: str

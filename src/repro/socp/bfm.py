@@ -32,9 +32,11 @@ multi-phase feeders are reduced by positive-sequence aggregation
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
+from repro.formulation.centralized import bound_violation, equality_violation
 from repro.formulation.rows import Row, rows_to_matrix
 from repro.formulation.variables import VariableIndex
 from repro.network.components import Line
@@ -75,6 +77,24 @@ class ConicProblem:
     def linear_system(self):
         """Dense-check helper: (A, b) of the linear equality rows."""
         return rows_to_matrix(self.rows, self.var_index)
+
+    @cached_property
+    def _linear(self):
+        """:meth:`linear_system`, assembled once for the violation report."""
+        return self.linear_system()
+
+    def primal_violation(self, x: np.ndarray) -> float:
+        """The largest of ``||A x - b||_inf`` over the linear rows, the
+        worst bound violation and :meth:`cone_violation`.
+
+        The cone term is part of feasibility here: an ADMM answer meets
+        its linear rows to rounding well before its cones converge.
+        """
+        return max(
+            equality_violation(*self._linear, x),
+            bound_violation(x, self.lb, self.ub),
+            self.cone_violation(x),
+        )
 
     def cone_violation(self, x: np.ndarray) -> float:
         """Worst cone violation ``max(0, P^2 + Q^2 - 2 le w)`` over lines."""

@@ -27,7 +27,7 @@ from repro.core.consensus import ConsensusADMM, ScenarioStack
 from repro.decomposition.rowreduce import reduced_row_echelon
 from repro.formulation.rows import Row, rows_to_dense_local
 from repro.socp.bfm import ConicProblem
-from repro.socp.cone import project_rotated_soc_batch
+from repro.socp.cone import ConeKernel
 from repro.utils.exceptions import DecompositionError
 
 
@@ -183,12 +183,16 @@ class ConicSolverFreeADMM(ConsensusADMM):
         self.linear_solver = BatchedLocalSolver.from_parts(
             comps, offsets, projections=local, backend=self.backend
         )
+        #: Every scenario's cones, rows ``(le, w, P, Q)``, in fp64 buffers.
+        self.cones = ConeKernel(self.k_n * base.cone_cols.shape[0], 3)
 
     def local_update(self, bx, lam, rho, out=None, lam_rho=None):
         """Batched closed-form projections of ``v = B x + lam / rho``:
         every scenario's affine blocks in one batch, then every cone, each
-        written straight into ``z`` (``out`` when given; ``lam_rho`` is
-        ``lam / rho`` when the caller holds it)."""
+        built in its kernel's input buffer and written straight into ``z``
+        (``out`` when given; ``lam_rho`` is ``lam / rho`` when the caller
+        holds it).  The cones' ``v`` is added in the compute dtype and
+        projected in fp64."""
         b = self.backend
         xp = b.xp
         k_n, n_linear = self.k_n, self.n_linear
@@ -199,10 +203,9 @@ class ConicSolverFreeADMM(ConsensusADMM):
         solver = self.linear_solver
         xp.add(bxm[:, :n_linear], lrm[:, :n_linear], out=solver.v.reshape(k_n, n_linear))
         solver.solve(solver.v, out=zm[:, :n_linear])
-        cone = xp.add(bxm[:, n_linear:], lrm[:, n_linear:]).reshape(-1, 4)
-        u, w, pq = project_rotated_soc_batch(cone[:, 0], cone[:, 1], cone[:, 2:])
-        zc = zm[:, n_linear:].reshape(k_n, -1, 4)
-        zc[..., 0] = u.reshape(k_n, -1)
-        zc[..., 1] = w.reshape(k_n, -1)
-        zc[..., 2:] = pq.reshape(k_n, -1, 2)
+        cones = self.cones
+        xp.add(bxm[:, n_linear:], lrm[:, n_linear:], out=cones.x.reshape(k_n, -1))
+        # Each scenario's cone block is a strided row of zm: (K, cones, 4)
+        # views it in place, where a flat (-1, 4) reshape would copy.
+        cones.rotated(zm[:, n_linear:].reshape(k_n, -1, 4))
         return z

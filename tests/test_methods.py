@@ -110,6 +110,15 @@ class TestParityIEEE13:
         assert qp.iterations == 5430
         assert qp.objective == pytest.approx(0.702197196474521, rel=0, abs=1e-9)
 
+    def test_socp_trajectory_is_pinned(self, ladder13):
+        """The socp rung's spec-tier run: the in-place cone kernel keeps
+        the iteration count and the objective."""
+        if default_backend().name != "numpy64":
+            pytest.skip("numpy64 pin: a mixed-precision facade solve refines in fp64")
+        socp = next(r for r in ladder13 if r.method == "socp")
+        assert socp.iterations == 34647
+        assert socp.objective == pytest.approx(0.7038298887756984, rel=0, abs=1e-9)
+
 
 class TestParityIEEE34:
     """The ladder generalizes beyond the feeder its tiers were tuned on."""
