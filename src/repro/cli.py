@@ -5,8 +5,11 @@ Commands
 ``info``
     Network, LP and decomposition statistics for a feeder.
 ``solve``
-    Run the solver-free (or benchmark) ADMM and print a solution report,
-    optionally validating against the centralized HiGHS optimum.
+    Solve one rung of the fidelity ladder (``--method linearized``, the
+    paper's solver-free ADMM, by default; ``qp`` or ``socp``) through
+    :mod:`repro.methods` and print a solution report, optionally with
+    convergence diagnostics and a check against the rung's HiGHS
+    reference.
 ``methods``
     Run every rung of the fidelity ladder (linearized / qp / socp) on a
     feeder, reporting each method's accuracy gap against its HiGHS
@@ -54,7 +57,7 @@ import json
 import sys
 from pathlib import Path
 
-from repro.core import ADMMConfig, BenchmarkADMM, SolverFreeADMM
+from repro.core import ADMMConfig, SolverFreeADMM
 from repro.decomposition import decompose
 from repro.formulation import build_centralized_lp
 from repro.io import resolve_feeder as _resolve_feeder
@@ -90,7 +93,9 @@ def cmd_info(args) -> int:
     ms, ns = dec.size_stats()
     print(net.summary())
     print(f"radial: {net.is_radial()}   substation: {net.substation}")
-    print(f"centralized LP: A is {lp.shape[0]} x {lp.shape[1]}")
+    print(f"centralized LP: A is {lp.shape[0]} x {lp.shape[1]}, "
+          f"degrees of freedom {lp.degrees_of_freedom} "
+          f"(columns - rows - fixed columns)")
     counts = dec.partition_counts
     print(
         f"decomposition: S = {dec.n_components} "
@@ -110,81 +115,8 @@ def cmd_info(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    if getattr(args, "method", None):
-        return _cmd_solve_method(args)
-    net = resolve_feeder(args.feeder)
-    lp = build_centralized_lp(net)
-    dec = decompose(lp)
-    cfg = admm_config(
-        rho=args.rho,
-        eps_rel=args.eps_rel,
-        max_iter=args.max_iter,
-        relaxation=args.relaxation,
-        record_history=args.diagnostics,
-    )
-    tracer = Tracer() if args.trace else None
-    try:
-        if args.algorithm == "solver-free":
-            solver = SolverFreeADMM(
-                dec, cfg, tracer=tracer,
-                backend=args.backend, precision=args.precision,
-            )
-        else:
-            solver = BenchmarkADMM(
-                dec, cfg, local_mode=args.local_mode, tracer=tracer,
-                backend=args.backend, precision=args.precision,
-            )
-    except ValueError as exc:
-        raise SystemExit(str(exc)) from None
-    policy = solver.backend.policy
-    print(f"backend: {solver.backend.name} (precision {policy.name}, "
-          f"compute {policy.compute})")
-    result = solver.solve()
-    if tracer is not None:
-        tracer.save(args.trace)
-        print(f"trace ({len(tracer)} spans) written to {args.trace}")
-    print(result.summary())
-    report = solution_report(lp, result.x)
-    print(
-        format_table(
-            ["quantity", "value"],
-            [[k, v] for k, v in report.items()],
-            title="solution report",
-        )
-    )
-    if args.diagnostics:
-        from repro.core.diagnostics import convergence_report
-
-        diag = convergence_report(dec, result)
-        print(
-            format_table(
-                ["check", "value"],
-                [[k, v] for k, v in diag.items()],
-                title="convergence diagnostics",
-            )
-        )
-    if args.reference:
-        ref = solve_reference(lp)
-        print(
-            f"reference objective {ref.objective:.6f}  "
-            f"relative gap {ref.compare_objective(result.objective):.3e}"
-        )
-    if args.output:
-        from repro.io import save_result
-
-        save_result(result, args.output)
-        print(f"result written to {args.output}")
-    if args.require_convergence and not result.converged:
-        raise ConvergenceError(
-            f"solve did not converge within {result.iterations} iterations "
-            f"(pres {result.pres:.3e}, dres {result.dres:.3e})"
-        )
-    return 0 if result.converged else 2
-
-
-def _cmd_solve_method(args) -> int:
-    """``repro solve --method ...``: one rung of the fidelity ladder
-    through the unified :mod:`repro.methods` facade."""
+    """``repro solve``: one rung of the fidelity ladder through the
+    :mod:`repro.methods` facade."""
     from repro.methods import (
         Method,
         build_method_problem,
@@ -221,26 +153,24 @@ def _cmd_solve_method(args) -> int:
     if method is Method.SOCP:
         conic = problem.conic
         slack = conic.cone_slack(result.x)
-        print(
-            format_table(
-                ["quantity", "value"],
-                [
-                    ["objective", f"{problem.objective(result.x):.6f}"],
-                    ["worst cone violation", f"{conic.cone_violation(result.x):.3e}"],
-                    ["min cone slack", f"{float(slack.min()):.3e}"],
-                    ["tight cones (slack < 1e-6)", int((slack < 1e-6).sum())],
-                    ["cones", len(conic.cones)],
-                ],
-                title="conic relaxation report",
-            )
-        )
+        report = {
+            "objective": f"{problem.objective(result.x):.6f}",
+            "worst cone violation": f"{conic.cone_violation(result.x):.3e}",
+            "min cone slack": f"{float(slack.min()):.3e}",
+            "tight cones (slack < 1e-6)": int((slack < 1e-6).sum()),
+            "cones": len(conic.cones),
+        }
+        title = "conic relaxation report"
     else:
-        report = solution_report(problem.lp, result.x)
+        report, title = solution_report(problem.lp, result.x), "solution report"
+    print(format_table(["quantity", "value"], list(report.items()), title=title))
+    if args.diagnostics:
+        from repro.core.diagnostics import convergence_report
+
+        diag = convergence_report(problem.dec, result)
         print(
             format_table(
-                ["quantity", "value"],
-                [[k, v] for k, v in report.items()],
-                title="solution report",
+                ["check", "value"], list(diag.items()), title="convergence diagnostics"
             )
         )
     if args.reference:
@@ -1037,12 +967,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--method",
         choices=["linearized", "qp", "socp"],
-        default=None,
-        help="solve one rung of the fidelity ladder through the unified "
-        "facade (docs/METHODS.md); omit for the classic --algorithm path",
+        default="linearized",
+        help="rung of the fidelity ladder to solve (docs/METHODS.md)",
     )
-    p.add_argument("--algorithm", choices=["solver-free", "benchmark"], default="solver-free")
-    p.add_argument("--local-mode", choices=["interior_point", "projection"], default="projection")
     _add_backend_flags(p)
     p.add_argument("--rho", type=float, default=100.0)
     p.add_argument("--eps-rel", type=float, default=1e-3)

@@ -118,13 +118,15 @@ class ConsensusADMM(IterationStrategy):
     #: Clip the global update to the bounds (9d).  Rungs that keep the
     #: bounds in their local subproblems take the unclipped x_hat of (10).
     clip_global = True
+    #: Accept ``config.relaxation != 1`` (over-relaxation); a rung that
+    #: runs plain ADMM rejects it.
+    use_relaxation = True
+    #: Accept ``config.residual_balancing``; a fixed-rho rung rejects it.
+    supports_balancing = True
     #: Mixed-precision runs may continue a stalled fp32 solve in fp64;
     #: variants with solver state the continuation cannot reconstruct
     #: (compression codecs, privacy accountants) opt out.
     refinement_supported = True
-    #: Wall-time phase timers and per-phase spans (variants whose
-    #: historical loops kept neither opt out).
-    phase_timing = True
 
     def __init__(
         self,
@@ -136,6 +138,16 @@ class ConsensusADMM(IterationStrategy):
     ):
         self.dec = dec
         self.config = config or ADMMConfig()
+        if self.config.relaxation != 1.0 and not self.use_relaxation:
+            raise ValueError(
+                f"{self.algorithm_name} runs plain ADMM only: relaxation "
+                f"must be 1, got {self.config.relaxation:g}"
+            )
+        if self.config.residual_balancing and not self.supports_balancing:
+            raise ValueError(
+                f"{self.algorithm_name} supports fixed rho only: "
+                "residual_balancing must be off"
+            )
         self.tracer = tracer
         self.backend = b = resolve_backend(backend, precision)
         stack = dec if isinstance(dec, ScenarioStack) else ScenarioStack.single(dec)
@@ -251,8 +263,6 @@ class ConsensusADMM(IterationStrategy):
             backend=self.backend,
             tracer=self.tracer,
             balancer=self._balancer,
-            record_timers=self.phase_timing,
-            phase_spans=self.phase_timing,
             watch_stall=watch_stall and self.refinement_supported,
         )
 

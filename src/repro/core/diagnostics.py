@@ -23,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.results import ADMMResult
-from repro.decomposition.decomposed import DecomposedOPF
 
 
 @dataclass(frozen=True)
@@ -36,11 +35,16 @@ class KindGap:
     rms_gap: float
 
 
-def consensus_gaps_by_kind(dec: DecomposedOPF, result: ADMMResult) -> list[KindGap]:
-    """Split ``|B x - z|`` by the variable kind of each local copy."""
+def consensus_gaps_by_kind(dec, result: ADMMResult) -> list[KindGap]:
+    """Split ``|B x - z|`` by the variable kind of each local copy.
+
+    ``dec`` is any decomposition with a ``model`` carrying ``var_index``:
+    the LP's :class:`~repro.decomposition.DecomposedOPF` or the conic
+    decomposition.
+    """
     bx = result.x[dec.global_cols]
     gap = np.abs(bx - result.z)
-    kinds = np.array([dec.lp.var_index.key_of(g)[0] for g in dec.global_cols])
+    kinds = np.array([dec.model.var_index.key_of(g)[0] for g in dec.global_cols])
     out: list[KindGap] = []
     for kind in sorted(set(kinds)):
         mask = kinds == kind
@@ -87,9 +91,9 @@ def is_stalled(result: ADMMResult, window: int = 200, tol: float = 1e-5) -> bool
     return sp > -tol and sd > -tol
 
 
-def convergence_report(dec: DecomposedOPF, result: ADMMResult) -> dict:
-    """One-call solution-quality summary."""
-    lp = dec.lp
+def convergence_report(dec, result: ADMMResult) -> dict:
+    """One-call solution-quality summary of a solve of ``dec.model``."""
+    model = dec.model
     report = {
         "algorithm": result.algorithm,
         "converged": result.converged,
@@ -97,8 +101,8 @@ def convergence_report(dec: DecomposedOPF, result: ADMMResult) -> dict:
         "objective": result.objective,
         "pres": result.pres,
         "dres": result.dres,
-        "equality_violation": lp.equality_violation(result.x),
-        "bound_violation": lp.bound_violation(result.x),
+        "equality_violation": model.equality_violation(result.x),
+        "bound_violation": model.bound_violation(result.x),
         "worst_consensus_kind": None,
         "stalled": None,
     }

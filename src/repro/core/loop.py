@@ -173,10 +173,6 @@ class IterationStrategy:
     """
 
     algorithm_name = "ADMM"
-    #: Honor ``config.relaxation`` (the benchmark baseline never did).
-    use_relaxation = True
-    #: Honor ``config.residual_balancing`` (fixed-rho variants opt out).
-    supports_balancing = True
     #: Set to a callable to replace the engine's residual computation.
     residuals = None
     #: Set to a callable ``(bx_eff, z_prev, lam, rho) -> (z, lam)`` to fuse
@@ -341,14 +337,10 @@ class ADMMLoop:
         strat = self.strategy
         budget = cfg.max_iter if budget is None else budget
         rho = cfg.rho if rho is None else rho
-        relax = cfg.relaxation if strat.use_relaxation else 1.0
+        relax = cfg.relaxation
         history = IterationHistory() if self.record_history else None
         tracer = self.tracer
-        balancing = (
-            cfg.residual_balancing
-            and strat.supports_balancing
-            and self.balancer is not None
-        )
+        balancing = cfg.residual_balancing and self.balancer is not None
         policy = self.backend.policy
         stall_watch = self.watch_stall and policy.refine
         stall_best = None  # running best of the stall metric

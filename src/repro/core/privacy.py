@@ -106,9 +106,6 @@ class PrivateSolverFreeADMM(SolverFreeADMM):
     #: refinement twin would double-spend the privacy budget.
     refinement_supported = False
     supports_balancing = False
-    #: The historical private loop kept no phase timers or spans; the
-    #: divergence guard still applies.
-    phase_timing = False
 
     def __init__(
         self,
@@ -119,8 +116,6 @@ class PrivateSolverFreeADMM(SolverFreeADMM):
         precision: str | None = None,
     ):
         super().__init__(dec, config, backend=backend, precision=precision)
-        if self.config.residual_balancing:
-            raise ValueError("privacy mode supports fixed rho only")
         self.privacy = privacy
         self.accountant = PrivacyAccountant(privacy.rho_zcdp_per_release())
         self._rng = np.random.default_rng(privacy.seed)

@@ -77,6 +77,17 @@ class CentralizedLP:
         """(rows, columns) of A — the quantity reported in Table II."""
         return (self.n_rows, self.n_vars)
 
+    @property
+    def degrees_of_freedom(self) -> int:
+        """Columns minus rows minus fixed (``lb == ub``) columns.
+
+        When ``A`` stacked on the fixed columns' unit rows has full row
+        rank (it does on every builtin feeder) this is the dimension of
+        the set the equalities and fixed columns leave; 0 means the LP
+        has at most one feasible point.
+        """
+        return self.n_vars - self.n_rows - int(np.count_nonzero(self.lb == self.ub))
+
     def initial_point(self) -> np.ndarray:
         return self.var_index.initial_point()
 

@@ -200,17 +200,12 @@ def make_method_solver(
     """
     spec = METHOD_SPECS[problem.method]
     cfg = config if config is not None else spec.default_config()
+    common = {"tracer": tracer, "backend": backend, "precision": precision}
     if problem.method is Method.LINEARIZED:
-        return SolverFreeADMM(
-            problem.dec, cfg, tracer=tracer, backend=backend,
-            precision=precision,
-        )
+        return SolverFreeADMM(problem.dec, cfg, **common)
     if problem.method is Method.QP:
-        return BenchmarkADMM(
-            problem.dec, cfg, local_mode="projection", tracer=tracer,
-            backend=backend, precision=precision,
-        )
-    return ConicSolverFreeADMM(problem.dec, cfg, backend=backend, precision=precision)
+        return BenchmarkADMM(problem.dec, cfg, local_mode="projection", **common)
+    return ConicSolverFreeADMM(problem.dec, cfg, **common)
 
 
 def solve_with_method(

@@ -117,8 +117,6 @@ class CompressedSolverFreeADMM(SolverFreeADMM):
     #: carried into an fp64 twin, so stalled fp32 runs are returned as-is.
     refinement_supported = False
     supports_balancing = False
-    #: The historical compressed loop kept no phase timers or spans.
-    phase_timing = False
 
     def __init__(
         self,
@@ -129,8 +127,6 @@ class CompressedSolverFreeADMM(SolverFreeADMM):
         precision: str | None = None,
     ):
         super().__init__(dec, config, backend=backend, precision=precision)
-        if self.config.residual_balancing:
-            raise ValueError("compression mode supports fixed rho only")
         self.compressor = compressor
         self.bytes_sent = 0
         self.bytes_dense = 0

@@ -184,8 +184,6 @@ class DistributedADMMRunner(IterationStrategy):
     """
 
     algorithm_name = "solver-free ADMM (simulated MPI)"
-    use_relaxation = False
-    supports_balancing = False
 
     def __init__(
         self,

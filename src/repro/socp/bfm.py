@@ -83,16 +83,23 @@ class ConicProblem:
         """:meth:`linear_system`, assembled once for the violation report."""
         return self.linear_system()
 
+    def equality_violation(self, x: np.ndarray) -> float:
+        """Infinity norm of ``A x - b`` over the linear rows at ``x``."""
+        return equality_violation(*self._linear, x)
+
+    def bound_violation(self, x: np.ndarray) -> float:
+        return bound_violation(x, self.lb, self.ub)
+
     def primal_violation(self, x: np.ndarray) -> float:
-        """The largest of ``||A x - b||_inf`` over the linear rows, the
-        worst bound violation and :meth:`cone_violation`.
+        """The largest of :meth:`equality_violation`,
+        :meth:`bound_violation` and :meth:`cone_violation`.
 
         The cone term is part of feasibility here: an ADMM answer meets
         its linear rows to rounding well before its cones converge.
         """
         return max(
-            equality_violation(*self._linear, x),
-            bound_violation(x, self.lb, self.ub),
+            self.equality_violation(x),
+            self.bound_violation(x),
             self.cone_violation(x),
         )
 

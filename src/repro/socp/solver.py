@@ -163,20 +163,18 @@ class ConicSolverFreeADMM(ConsensusADMM):
     # over-relaxation or rho rescaling.
     use_relaxation = False
     supports_balancing = False
-    # The historical conic loop kept no phase timers, spans or stall watch.
+    # No stall watch: arming it would change numpy32 socp trajectories.
     refinement_supported = False
-    phase_timing = False
 
     def __init__(
         self,
         dec: ConicDecomposition | ScenarioStack,
         config: ADMMConfig | None = None,
+        tracer=None,
         backend=None,
         precision: str | None = None,
     ):
-        super().__init__(dec, config, backend=backend, precision=precision)
-        if self.config.residual_balancing or self.config.relaxation != 1.0:
-            raise ValueError("the conic solver runs plain ADMM only")
+        super().__init__(dec, config, tracer, backend, precision)
         base = self.stack.base
         self.n_linear = base.n_linear
         comps, offsets, local = self.stack.tiled(base.linear)

@@ -37,6 +37,11 @@ class TestCommands:
         assert "S = 21" in out
         assert "250 x 253" in out
 
+    @pytest.mark.parametrize("feeder, dof", [("ieee13", 0), ("ieee13-der", 21)])
+    def test_info_prints_degrees_of_freedom(self, capsys, feeder, dof):
+        assert main(["info", "--feeder", feeder]) == 0
+        assert f"degrees of freedom {dof} " in capsys.readouterr().out
+
     def test_solve_converges(self, capsys, tmp_path):
         out_file = tmp_path / "res.json"
         code = main(
@@ -58,20 +63,56 @@ class TestCommands:
 
     def test_solve_nonconverged_exit_code(self, capsys):
         assert main(["solve", "--feeder", "ieee13", "--max-iter", "5"]) == 2
+        assert capsys.readouterr().out.startswith("method: linearized ")
 
-    def test_solve_benchmark_algorithm(self, capsys):
-        code = main(
-            [
-                "solve",
-                "--feeder",
-                "ieee13",
-                "--algorithm",
-                "benchmark",
-                "--max-iter",
-                "5",
-            ]
-        )
+    def test_solve_qp_method(self, capsys):
+        code = main(["solve", "--feeder", "ieee13", "--method", "qp", "--max-iter", "5"])
         assert code == 2  # budget too small to converge, but runs
+        assert capsys.readouterr().out.startswith("method: qp ")
+
+    @pytest.mark.parametrize(
+        "flag", [["--algorithm", "benchmark"], ["--local-mode", "interior_point"]]
+    )
+    def test_removed_solve_flags_are_usage_errors(self, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--feeder", "ieee13", *flag])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "method, rung", [("qp", "benchmark ADMM"), ("socp", "conic ADMM")]
+    )
+    def test_plain_admm_rung_rejects_relaxation(self, capsys, method, rung):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--feeder", "ieee13", "--method", method,
+                  "--relaxation", "1.5"])
+        message = str(exc.value.code)
+        assert "\n" not in message
+        assert rung in message and "runs plain ADMM only" in message
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("method", ["linearized", "qp", "socp"])
+    def test_every_flag_on_every_rung(self, capsys, tmp_path, method):
+        """--diagnostics, --trace and --output mean the same on each rung,
+        and the answer is the facade's, bit for bit."""
+        from repro.core import ADMMConfig
+        from repro.methods import solve_with_method
+        from repro.telemetry import load_trace_events
+
+        trace, out = tmp_path / "t.json", tmp_path / "o.json"
+        assert main(["solve", "--feeder", "ieee13", "--method", method, "--max-iter", "40",
+                     "--diagnostics", "--trace", str(trace), "--output", str(out)]) == 2
+        assert "convergence diagnostics" in capsys.readouterr().out
+        names = {e.name for e in load_trace_events(trace)}
+        assert {"admm.solve", "admm.global", "admm.local", "admm.dual",
+                "admm.residual"} <= names
+        data = json.loads(out.read_text())
+        _, facade = solve_with_method(
+            resolve_feeder("ieee13"), method, ADMMConfig(max_iter=40)
+        )
+        for key in ("iterations", "objective", "pres", "dres", "primal_violation"):
+            assert data[key] == getattr(facade, key), key
+        assert set(data["timers"]) == {"global", "local", "dual", "residual"}
 
     def test_export_json_and_npz(self, capsys, tmp_path):
         assert main(["export", "--feeder", "ieee13", "--format", "json",

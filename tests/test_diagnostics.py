@@ -66,3 +66,15 @@ class TestReport:
         assert report["bound_violation"] == 0.0
         assert "max" in report["worst_consensus_kind"]
         assert isinstance(report["stalled"], bool)
+
+    def test_socp_report_has_the_lp_keys(self, ieee13_net, ieee13_dec, ieee13_solution):
+        from repro.methods import solve_with_method
+
+        problem, result = solve_with_method(
+            ieee13_net, "socp", ADMMConfig(max_iter=300)
+        )
+        report = convergence_report(problem.dec, result)
+        assert report.keys() == convergence_report(ieee13_dec, ieee13_solution).keys()
+        assert report["equality_violation"] == problem.conic.equality_violation(result.x)
+        assert report["worst_consensus_kind"].split()[0] in {"w", "pf", "qf", "le", "pg", "qg"}
+        assert isinstance(report["stalled"], bool)
