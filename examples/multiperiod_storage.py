@@ -15,12 +15,8 @@ import numpy as np
 
 import repro
 from repro.feeders import SyntheticFeederSpec, build_synthetic_feeder
-from repro.multiperiod import (
-    MultiPeriodSolverFreeADMM,
-    Storage,
-    build_multiperiod_lp,
-    decompose_multiperiod,
-)
+from repro.multiperiod import MultiPeriodSolverFreeADMM, Storage, build_multiperiod_lp
+from repro.socp import decompose_conic
 from repro.utils import format_table
 
 #: A stylized daily shape: overnight valley, morning ramp, evening peak.
@@ -48,21 +44,21 @@ def main() -> None:
         f"time-expanded LP: {prob.n_vars} variables over {prob.n_periods} "
         f"periods, {len(prob.rows)} rows"
     )
-    dec = decompose_multiperiod(prob)
+    dec = decompose_conic(prob)
     print(f"decomposition: {dec.n_components} components "
           f"(the battery's SOC chain is one component spanning the day)")
 
     res = MultiPeriodSolverFreeADMM(
         dec, repro.ADMMConfig(max_iter=300_000, record_history=False)
     ).solve()
-    print(res.summary())
-    ref = repro.solve_reference(prob.to_centralized())
+    print(f"{res.summary()}, primal violation {res.primal_violation:.1e}")
+    ref = repro.solve_reference(prob)
     print(f"centralized reference: {ref.objective:.5f} "
           f"(gap {ref.compare_objective(res.objective):.1e})")
 
     # Compare against the storage-free dispatch.
     prob0 = build_multiperiod_lp(net, LOAD, PRICE)
-    ref0 = repro.solve_reference(prob0.to_centralized())
+    ref0 = repro.solve_reference(prob0)
     saving = (ref0.objective - res.objective) / ref0.objective * 100
 
     soc = prob.soc_trajectory(res.x, "battery")

@@ -53,9 +53,11 @@ def main() -> None:
             f"{sol.objective:.6f}",
             f"{sol.expected_cost:.6f}",
             f"{sol.cvar_cost:.6f}",
+            f"{sol.result.primal_violation:.1e}",
         ])
     print(format_table(
-        ["objective", "conv", "iters", "optimum", "E[cost]", "CVaR_0.9"],
+        ["objective", "conv", "iters", "optimum", "E[cost]", "CVaR_0.9",
+         "primal viol"],
         rows,
         title="two-stage stochastic OPF (solver-free ADMM, rho 10)",
     ))

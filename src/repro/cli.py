@@ -665,6 +665,7 @@ def cmd_solve_stochastic(args) -> int:
                     config=cfg,
                     backend=args.backend,
                     precision=args.precision,
+                    tracer=tracer,
                 )
             except ValueError as exc:
                 raise SystemExit(str(exc)) from None
@@ -680,7 +681,7 @@ def cmd_solve_stochastic(args) -> int:
             ]
         )
         if args.reference:
-            ref = solve_reference(sol.problem.to_centralized())
+            ref = solve_reference(sol.problem)
             gap = ref.compare_objective(sol.objective)
             print(
                 f"{objective}: reference objective {ref.objective:.6f}  "
@@ -729,6 +730,7 @@ def cmd_solve_stochastic(args) -> int:
                     "objective": sol.objective,
                     "expected_cost": sol.expected_cost,
                     "cvar_cost": sol.cvar_cost,
+                    "primal_violation": sol.result.primal_violation,
                     "first_stage": {
                         k: [float(v) for v in vals]
                         for k, vals in sol.first_stage.items()

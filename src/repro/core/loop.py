@@ -256,9 +256,6 @@ class ADMMLoop:
     record_timers:
         Accumulate wall time per phase (serial solvers do; the simulated
         runners charge virtual clocks instead).
-    phase_spans:
-        Emit ``admm.{global,local,dual,residual}`` spans when the tracer
-        is enabled (rank-explicit runners emit per-rank spans instead).
     watch_stall:
         Arm the mixed-precision stall watch when the backend's policy has
         refinement enabled; a stalled run breaks with ``stalled=True`` so
@@ -273,8 +270,6 @@ class ADMMLoop:
         backend: Backend | None = None,
         tracer=None,
         record_timers: bool = True,
-        phase_spans: bool = True,
-        record_history: bool | None = None,
         watch_stall: bool = True,
         balancer: ResidualBalancer | None = None,
     ):
@@ -285,10 +280,6 @@ class ADMMLoop:
         )
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.record_timers = record_timers
-        self.phase_spans = phase_spans
-        self.record_history = (
-            config.record_history if record_history is None else record_history
-        )
         self.watch_stall = watch_stall
         self.balancer = balancer
 
@@ -338,7 +329,7 @@ class ADMMLoop:
         budget = cfg.max_iter if budget is None else budget
         rho = cfg.rho if rho is None else rho
         relax = cfg.relaxation
-        history = IterationHistory() if self.record_history else None
+        history = IterationHistory() if cfg.record_history else None
         tracer = self.tracer
         balancing = cfg.residual_balancing and self.balancer is not None
         policy = self.backend.policy
@@ -346,7 +337,6 @@ class ADMMLoop:
         stall_best = None  # running best of the stall metric
         stall_best_at_check = None  # its value at the previous check
         guard = cfg.divergence_guard
-        spans = self.phase_spans
         # The strategy's hooks and the residual function are looked up once
         # per run, not per iteration, and never earlier: instrumentation may
         # wrap them between runs.
@@ -369,7 +359,7 @@ class ADMMLoop:
         # perf_counter stamps feed the phase timers and/or the phase spans;
         # the timers add up in locals and become the result's totals once.
         record = self.record_timers
-        trace_phases = bool(spans and tracer)
+        trace_phases = bool(tracer)
         stamp = record or trace_phases
         clock = time.perf_counter
         t_global = t_local = t_dual = t_residual = 0.0
@@ -386,9 +376,7 @@ class ADMMLoop:
                 backend=self.backend.name,
                 precision=policy.name,
                 **strat.span_args(),
-            )
-            if spans
-            else contextlib.nullcontext(),
+            ),
         ):
             flip = ws.flip
             # The primal residual reuses the dual step's B x - z, unless

@@ -12,6 +12,8 @@ from repro.formulation.centralized import (
     build_centralized_lp,
     build_rows,
     certify_active_set,
+    register_network,
+    tagged_rows,
 )
 from repro.formulation.flow import flow_rows, voltage_drop_matrices
 from repro.formulation.loads import (
@@ -32,6 +34,8 @@ __all__ = [
     "certify_active_set",
     "build_centralized_lp",
     "build_rows",
+    "register_network",
+    "tagged_rows",
     "balance_rows",
     "flow_rows",
     "voltage_drop_matrices",

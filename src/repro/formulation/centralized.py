@@ -11,6 +11,11 @@ also keeps the symbolic :class:`~repro.formulation.rows.Row` list with
 component ownership tags, which the decomposition package regroups into
 component subproblems without re-deriving any constraint.
 
+:func:`register_network` and :func:`tagged_rows` are the one copy of that
+registration and row set: the multi-period and two-stage expansions call
+them once per period or scenario, with a tag (``"@t3"``, ``"@s2"``) on
+every name, and are :class:`CentralizedLP` subclasses themselves.
+
 :func:`certify_active_set` is the host-side fp64 active-set polish with
 its Lagrangian certificate (docs/ALGORITHMS.md §11): fix the columns an
 iterate has at a bound, solve what is left exactly, and keep the point
@@ -63,6 +68,26 @@ class CentralizedLP:
     cost: np.ndarray
     lb: np.ndarray
     ub: np.ndarray
+    #: Cone-free: :func:`~repro.socp.solver.decompose_conic` takes any LP
+    #: and yields linear components only.
+    cones = ()
+
+    @classmethod
+    def assemble(cls, network, var_index: VariableIndex, rows: list[Row], **fields):
+        """The LP over ``var_index``'s columns and ``rows``; ``fields``
+        fill a subclass's own fields."""
+        a, b = rows_to_matrix(rows, var_index)
+        return cls(
+            network=network,
+            var_index=var_index,
+            rows=rows,
+            a_matrix=a,
+            b_vector=b,
+            cost=var_index.costs(),
+            lb=var_index.lower_bounds(),
+            ub=var_index.upper_bounds(),
+            **fields,
+        )
 
     @property
     def n_vars(self) -> int:
@@ -185,30 +210,47 @@ def certify_active_set(lp: CentralizedLP, x) -> ActiveSetCertificate | None:
     return ActiveSetCertificate(x=x_pol, objective=objective, bound=bound, gap=gap)
 
 
-def _register_variables(net: DistributionNetwork) -> VariableIndex:
-    """Register all global variables in the paper's ordering for (7)."""
-    vi = VariableIndex()
+def register_network(
+    vi: VariableIndex,
+    net: DistributionNetwork,
+    tag: str = "",
+    pg_cost=None,
+    shared=(),
+) -> None:
+    """Register one copy of ``net``'s variables in the ordering of (7).
+
+    ``tag`` is appended to every key's name (``"@t3"`` for a period,
+    ``"@s2"`` for a scenario).  ``pg_cost(gen)`` prices active generation
+    (default ``gen.cost``).  The ``pg`` columns of the generators named in
+    ``shared`` are left to the caller, which registers them once for all
+    copies.
+    """
     for gen in net.generators.values():
+        nm = gen.name + tag
+        cost = gen.cost if pg_cost is None else pg_cost(gen)
         for a, phi in enumerate(gen.phases):
-            vi.add(("pg", gen.name, phi), gen.p_min[a], gen.p_max[a], cost=gen.cost)
-            vi.add(("qg", gen.name, phi), gen.q_min[a], gen.q_max[a])
+            if gen.name not in shared:
+                vi.add(("pg", nm, phi), gen.p_min[a], gen.p_max[a], cost=cost)
+            vi.add(("qg", nm, phi), gen.q_min[a], gen.q_max[a])
     for bus in net.buses.values():
+        nm = bus.name + tag
         for a, phi in enumerate(bus.phases):
-            vi.add(("w", bus.name, phi), bus.w_min[a], bus.w_max[a], is_voltage=True)
+            vi.add(("w", nm, phi), bus.w_min[a], bus.w_max[a], is_voltage=True)
     for load in net.loads.values():
+        nm = load.name + tag
         for phi in load.bus_phases:
-            vi.add(("pb", load.name, phi))
-            vi.add(("qb", load.name, phi))
+            vi.add(("pb", nm, phi))
+            vi.add(("qb", nm, phi))
         for phi in load.phases:
-            vi.add(("pd", load.name, phi))
-            vi.add(("qd", load.name, phi))
+            vi.add(("pd", nm, phi))
+            vi.add(("qd", nm, phi))
     for line in net.lines.values():
+        nm = line.name + tag
         for a, phi in enumerate(line.phases):
-            vi.add(("pf", line.name, phi), line.p_min[a], line.p_max[a])
-            vi.add(("qf", line.name, phi), line.q_min[a], line.q_max[a])
-            vi.add(("pt", line.name, phi), line.p_min[a], line.p_max[a])
-            vi.add(("qt", line.name, phi), line.q_min[a], line.q_max[a])
-    return vi
+            vi.add(("pf", nm, phi), line.p_min[a], line.p_max[a])
+            vi.add(("qf", nm, phi), line.q_min[a], line.q_max[a])
+            vi.add(("pt", nm, phi), line.p_min[a], line.p_max[a])
+            vi.add(("qt", nm, phi), line.q_min[a], line.q_max[a])
 
 
 def build_rows(net: DistributionNetwork) -> list[Row]:
@@ -221,6 +263,25 @@ def build_rows(net: DistributionNetwork) -> list[Row]:
     for line in net.lines.values():
         rows.extend(flow_rows(line))
     return rows
+
+
+def tagged_rows(net: DistributionNetwork, tag: str, shared=()) -> list[Row]:
+    """:func:`build_rows` of ``net`` with ``tag`` on every key name, owner
+    name and row tag, except the ``pg`` keys of the ``shared`` generators
+    (the columns :func:`register_network` leaves to its caller)."""
+
+    def key(k):
+        return k if k[0] == "pg" and k[1] in shared else (k[0], k[1] + tag, k[2])
+
+    return [
+        Row(
+            {key(k): c for k, c in row.coeffs.items()},
+            row.rhs,
+            (row.owner[0], row.owner[1] + tag),
+            tag=row.tag + tag,
+        )
+        for row in build_rows(net)
+    ]
 
 
 def build_centralized_lp(net: DistributionNetwork, validate: bool = True) -> CentralizedLP:
@@ -243,16 +304,6 @@ def build_centralized_lp(net: DistributionNetwork, validate: bool = True) -> Cen
         net.validate()
     if not net.generators:
         raise FormulationError(f"network {net.name!r} has no generators")
-    vi = _register_variables(net)
-    rows = build_rows(net)
-    a, b = rows_to_matrix(rows, vi)
-    return CentralizedLP(
-        network=net,
-        var_index=vi,
-        rows=rows,
-        a_matrix=a,
-        b_vector=b,
-        cost=vi.costs(),
-        lb=vi.lower_bounds(),
-        ub=vi.upper_bounds(),
-    )
+    vi = VariableIndex()
+    register_network(vi, net)
+    return CentralizedLP.assemble(net, vi, build_rows(net))

@@ -26,7 +26,7 @@ import numpy as np
 from repro.backend.policy import HOST_DTYPE
 
 from repro.formulation.centralized import CentralizedLP
-from repro.formulation.rows import Row, rows_to_matrix
+from repro.formulation.rows import Row
 from repro.formulation.variables import VariableIndex, VarKey
 
 
@@ -113,15 +113,5 @@ def scale_lp(lp: CentralizedLP, d: np.ndarray | None = None) -> ScaledLP:
         )
         for row in lp.rows
     ]
-    a, b = rows_to_matrix(new_rows, new_vi)
-    scaled = CentralizedLP(
-        network=lp.network,
-        var_index=new_vi,
-        rows=new_rows,
-        a_matrix=a,
-        b_vector=b,
-        cost=new_vi.costs(),
-        lb=new_vi.lower_bounds(),
-        ub=new_vi.upper_bounds(),
-    )
+    scaled = CentralizedLP.assemble(lp.network, new_vi, new_rows)
     return ScaledLP(lp=scaled, col_scale=d)

@@ -5,6 +5,7 @@ plus a receding-horizon DER scheduler on top of it."""
 from repro.multiperiod.horizon import (
     HorizonResult,
     HorizonStep,
+    MultiPeriodSolverFreeADMM,
     rolling_horizon,
 )
 from repro.multiperiod.model import (
@@ -12,16 +13,11 @@ from repro.multiperiod.model import (
     Storage,
     build_multiperiod_lp,
 )
-from repro.multiperiod.solve import (
-    MultiPeriodSolverFreeADMM,
-    decompose_multiperiod,
-)
 
 __all__ = [
     "Storage",
     "MultiPeriodProblem",
     "build_multiperiod_lp",
-    "decompose_multiperiod",
     "MultiPeriodSolverFreeADMM",
     "HorizonStep",
     "HorizonResult",

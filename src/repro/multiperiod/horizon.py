@@ -9,11 +9,11 @@ with the window shifted by one.  Windows use non-cyclic storage chains
 of every window) anchored at the carried-over ``soc0``.
 
 Each window solve goes through either the consensus ADMM
-(:class:`~repro.multiperiod.solve.MultiPeriodSolverFreeADMM`) or the
-exact HiGHS reference; the committed trajectory satisfies the SoC
-dynamics by construction of the committed charge/discharge powers, and —
-under the reference solver — matches the solved ``se`` variables to
-solver feasibility tolerance (see tests/test_multiperiod.py).
+(:class:`MultiPeriodSolverFreeADMM`) or the exact HiGHS reference; the
+committed trajectory satisfies the SoC dynamics by construction of the
+committed charge/discharge powers, and — under the reference solver —
+matches the solved ``se`` variables to solver feasibility tolerance (see
+tests/test_multiperiod.py).
 """
 
 from __future__ import annotations
@@ -25,9 +25,17 @@ import numpy as np
 from repro.backend.policy import HOST_DTYPE
 from repro.core.config import ADMMConfig
 from repro.multiperiod.model import Storage, _suffix, build_multiperiod_lp
-from repro.multiperiod.solve import MultiPeriodSolverFreeADMM, decompose_multiperiod
 from repro.reference import solve_reference
+from repro.socp.solver import ConicSolverFreeADMM, decompose_conic
 from repro.utils.exceptions import FormulationError
+
+
+class MultiPeriodSolverFreeADMM(ConicSolverFreeADMM):
+    """Solver-free consensus ADMM over the multi-period components: the
+    zero-cone case of the conic solver (:func:`decompose_conic` of a
+    :class:`~repro.multiperiod.model.MultiPeriodProblem`)."""
+
+    algorithm_name = "solver-free ADMM (multi-period with storage)"
 
 
 @dataclass
@@ -74,6 +82,7 @@ def rolling_horizon(
     config: ADMMConfig | None = None,
     backend=None,
     precision: str | None = None,
+    tracer=None,
 ) -> HorizonResult:
     """Run the receding-horizon schedule over the whole profile.
 
@@ -85,6 +94,8 @@ def rolling_horizon(
     solver:
         ``"admm"`` for the consensus solver, ``"reference"`` for exact
         HiGHS window solves.
+    tracer:
+        Optional telemetry tracer handed to every window's ADMM solve.
 
     Raises
     ------
@@ -129,12 +140,13 @@ def rolling_horizon(
             dt_hours=dt_hours,
         )
         if solver == "reference":
-            ref = solve_reference(prob.to_centralized())
+            ref = solve_reference(prob)
             x, objective, iterations, converged = ref.x, float(ref.objective), 0, True
         else:
             admm = MultiPeriodSolverFreeADMM(
-                decompose_multiperiod(prob),
+                decompose_conic(prob),
                 config if config is not None else ADMMConfig(),
+                tracer=tracer,
                 backend=backend,
                 precision=precision,
             )

@@ -15,10 +15,12 @@ is one *component* owning its SOC chain — a textbook case for the paper's
 component-wise decomposition, since the chain spans periods while every
 other component is period-local.
 
-The time-expanded problem is still an LP in the abstract form (7), so the
-solver-free consensus machinery applies unchanged: support-grouped equality
-components with batched affine projections (see
-:func:`repro.multiperiod.solve.decompose_multiperiod`).
+The time-expanded problem is still an LP in the abstract form (7) — a
+:class:`~repro.formulation.centralized.CentralizedLP` — so the solver-free
+consensus machinery applies unchanged: :func:`~repro.socp.solver.decompose_conic`
+groups its rows by support into equality components solved by batched
+affine projections, every period's buses and lines plus one storage
+component per storage spanning all periods.
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.backend.policy import HOST_DTYPE
-from repro.formulation.centralized import CentralizedLP, build_rows
-from repro.formulation.rows import Row, rows_to_matrix
+from repro.formulation.centralized import CentralizedLP, register_network, tagged_rows
+from repro.formulation.rows import Row
 from repro.formulation.variables import VariableIndex
 from repro.network.network import DistributionNetwork
 from repro.utils.exceptions import FormulationError
@@ -77,47 +79,12 @@ def _suffix(name: str, t: int) -> str:
 
 
 @dataclass
-class MultiPeriodProblem:
-    """The assembled time-expanded LP plus its structure.
+class MultiPeriodProblem(CentralizedLP):
+    """The assembled time-expanded LP plus its horizon and storages."""
 
-    Duck-types the attributes the generic consensus machinery needs
-    (``rows``, ``var_index``, ``cones``, ``cost``, ``lb``, ``ub``) and can lower itself
-    to a :class:`CentralizedLP` for the HiGHS reference.
-    """
-
-    network: DistributionNetwork
     n_periods: int
     dt_hours: float
     storages: list[Storage]
-    var_index: VariableIndex
-    rows: list[Row]
-    cost: np.ndarray
-    lb: np.ndarray
-    ub: np.ndarray
-    #: Cone-free: :func:`~repro.socp.solver.decompose_conic` takes the
-    #: problem directly and yields linear components only.
-    cones = ()
-
-    @property
-    def n_vars(self) -> int:
-        return self.var_index.n
-
-    def initial_point(self) -> np.ndarray:
-        return self.var_index.initial_point()
-
-    def to_centralized(self) -> CentralizedLP:
-        """Lower to the plain LP container (for the HiGHS reference)."""
-        a, b = rows_to_matrix(self.rows, self.var_index)
-        return CentralizedLP(
-            network=self.network,
-            var_index=self.var_index,
-            rows=self.rows,
-            a_matrix=a,
-            b_vector=b,
-            cost=self.cost,
-            lb=self.lb,
-            ub=self.ub,
-        )
 
     # Convenience extraction -------------------------------------------------
     def soc_trajectory(self, x: np.ndarray, storage: str) -> np.ndarray:
@@ -199,40 +166,17 @@ def build_multiperiod_lp(
 
     vi = VariableIndex()
     rows: list[Row] = []
-
     for t in range(n_periods):
+        tag = f"@t{t}"
         # Scaled clone of the physical network for period t.
         period_net = net.copy()
         for load in period_net.loads.values():
             load.p_ref = load.p_ref * load_profile[t]
             load.q_ref = load.q_ref * load_profile[t]
-
-        # Period-local variables in the paper's ordering.
-        for gen in period_net.generators.values():
-            nm = _suffix(gen.name, t)
-            for a, phi in enumerate(gen.phases):
-                vi.add(("pg", nm, phi), gen.p_min[a], gen.p_max[a],
-                       cost=gen.cost * price_profile[t] * dt_hours)
-                vi.add(("qg", nm, phi), gen.q_min[a], gen.q_max[a])
-        for bus in period_net.buses.values():
-            nm = _suffix(bus.name, t)
-            for a, phi in enumerate(bus.phases):
-                vi.add(("w", nm, phi), bus.w_min[a], bus.w_max[a], is_voltage=True)
-        for load in period_net.loads.values():
-            nm = _suffix(load.name, t)
-            for phi in load.bus_phases:
-                vi.add(("pb", nm, phi))
-                vi.add(("qb", nm, phi))
-            for phi in load.phases:
-                vi.add(("pd", nm, phi))
-                vi.add(("qd", nm, phi))
-        for line in period_net.lines.values():
-            nm = _suffix(line.name, t)
-            for a, phi in enumerate(line.phases):
-                vi.add(("pf", nm, phi), line.p_min[a], line.p_max[a])
-                vi.add(("qf", nm, phi), line.q_min[a], line.q_max[a])
-                vi.add(("pt", nm, phi), line.p_min[a], line.p_max[a])
-                vi.add(("qt", nm, phi), line.q_min[a], line.q_max[a])
+        price = price_profile[t]
+        register_network(
+            vi, period_net, tag, pg_cost=lambda gen: gen.cost * price * dt_hours
+        )
         # Storage period variables.
         for st in storages:
             nm = _suffix(st.name, t)
@@ -243,26 +187,17 @@ def build_multiperiod_lp(
                 vi.add(("sd", nm, phi), 0.0, st.p_dis_max / nph)
             vi.add(("se", nm, 1), 0.0, st.energy_max, init=st.soc0)
 
-        # Period rows: rename keys/owners with the @t suffix.
-        for row in build_rows(period_net):
-            coeffs = {(k[0], _suffix(k[1], t), k[2]): c for k, c in row.coeffs.items()}
-            kind, owner_name = row.owner
-            rows.append(
-                Row(coeffs, row.rhs, (kind, _suffix(owner_name, t)),
-                    tag=f"{row.tag}@t{t}")
-            )
+        period_rows = tagged_rows(period_net, tag)
         # Inject storage power into this period's balance rows.
+        balance = {row.tag: row for row in period_rows}
         for st in storages:
             nm = _suffix(st.name, t)
-            bus_nm = _suffix(st.bus, t)
-            for row in rows:
-                if row.owner != ("bus", bus_nm):
-                    continue
-                for phi in net.buses[st.bus].phases:
-                    if row.tag == f"balance-p:{st.bus}:{phi}@t{t}":
-                        # Charging draws like a load, discharging injects.
-                        row.coeffs[("sc", nm, phi)] = 1.0
-                        row.coeffs[("sd", nm, phi)] = -1.0
+            for phi in net.buses[st.bus].phases:
+                coeffs = balance[f"balance-p:{st.bus}:{phi}{tag}"].coeffs
+                # Charging draws like a load, discharging injects.
+                coeffs[("sc", nm, phi)] = 1.0
+                coeffs[("sd", nm, phi)] = -1.0
+        rows.extend(period_rows)
 
     # Storage SOC chains: one component per storage, spanning all periods.
     for st in storages:
@@ -290,14 +225,6 @@ def build_multiperiod_lp(
                 )
             )
 
-    return MultiPeriodProblem(
-        network=net,
-        n_periods=n_periods,
-        dt_hours=dt_hours,
-        storages=storages,
-        var_index=vi,
-        rows=rows,
-        cost=vi.costs(),
-        lb=vi.lower_bounds(),
-        ub=vi.upper_bounds(),
+    return MultiPeriodProblem.assemble(
+        net, vi, rows, n_periods=n_periods, dt_hours=dt_hours, storages=storages
     )

@@ -498,15 +498,9 @@ class DistributedADMMRunner(IterationStrategy):
         z = x[dec.global_cols].copy()
         lam = np.zeros(dec.n_local)
         ckpts.save(0, z, lam, cfg.rho)
-        # Virtual clocks replace wall timers; rank spans replace phase spans.
-        loop = ADMMLoop(
-            self,
-            cfg,
-            backend=self.backend,
-            record_timers=False,
-            phase_spans=False,
-            watch_stall=False,
-        )
+        # Virtual clocks replace wall timers; rank spans replace phase spans
+        # (the loop gets no tracer).
+        loop = ADMMLoop(self, cfg, backend=self.backend, record_timers=False)
         result = loop.result(loop.run(x, z, lam, budget=budget))
         metrics.counter("rank.failover").inc(len(self._failovers))
         metrics.counter("resilience.checkpoints").inc(ckpts.saves)

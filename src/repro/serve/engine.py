@@ -1111,6 +1111,7 @@ class ScenarioEngine:
                     solver="admm",
                     config=config,
                     backend=self.backend,
+                    tracer=self.tracer,
                 )
         except (ValueError, KeyError, FormulationError) as exc:
             resp = MultiPeriodResponse(

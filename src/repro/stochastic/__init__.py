@@ -24,7 +24,6 @@ from repro.stochastic.solve import (
     StochasticSolution,
     StochasticSolverFreeADMM,
     VSSReport,
-    decompose_stochastic,
     evaluate_first_stage,
     solve_two_stage,
     value_of_stochastic_solution,
@@ -44,7 +43,6 @@ __all__ = [
     "StochasticSolution",
     "StochasticSolverFreeADMM",
     "VSSReport",
-    "decompose_stochastic",
     "evaluate_first_stage",
     "solve_two_stage",
     "value_of_stochastic_solution",

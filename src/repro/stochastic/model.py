@@ -1,11 +1,14 @@
 """Two-stage stochastic OPF: scenario-expanded LP with CVaR epigraph.
 
 The deterministic equivalent of the two-stage problem is one big LP over
-all K sampled scenarios.  Like the multi-period expansion
-(:mod:`repro.multiperiod.model`), it reuses the single-period row builder
-unchanged: every scenario gets its own copy of the network's variables and
-rows (keys and owners gain an ``@s<k>`` suffix), with loads scaled by the
-scenario's multipliers and PV upper bounds scaled by its availability.
+all K sampled scenarios, a :class:`~repro.formulation.centralized.CentralizedLP`.
+Like the multi-period expansion (:mod:`repro.multiperiod.model`), it
+reuses the single-period builders unchanged: every scenario gets its own
+copy of the network's variables and rows
+(:func:`~repro.formulation.centralized.register_network` and
+:func:`~repro.formulation.centralized.tagged_rows`, keys and owners with
+an ``@s<k>`` tag), with loads scaled by the scenario's multipliers and PV
+upper bounds scaled by its availability.
 
 What makes it *two-stage* is which variables are **not** duplicated: the
 active-power dispatch of the first-stage DERs keeps its unsuffixed key, so
@@ -34,8 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.formulation.centralized import CentralizedLP, build_rows
-from repro.formulation.rows import Row, rows_to_matrix
+from repro.formulation.centralized import CentralizedLP, register_network, tagged_rows
+from repro.formulation.rows import Row
 from repro.formulation.variables import VariableIndex
 from repro.network.network import DistributionNetwork
 from repro.stochastic.sampler import SAMPLE_DTYPE, ScenarioSet
@@ -66,52 +69,16 @@ def sample_cvar(costs: np.ndarray, weights: np.ndarray, alpha: float) -> float:
 
 
 @dataclass
-class StochasticProblem:
-    """The assembled scenario-expanded LP plus its two-stage structure.
+class StochasticProblem(CentralizedLP):
+    """The assembled scenario-expanded LP plus its two-stage structure."""
 
-    Duck-types the attributes the generic consensus machinery needs
-    (``rows``, ``var_index``, ``cones``, ``cost``, ``lb``, ``ub``) and can lower
-    itself to a :class:`CentralizedLP` for the HiGHS reference.
-    """
-
-    network: DistributionNetwork
     scenarios: ScenarioSet
     first_stage: tuple[str, ...]
     alpha: float
-    objective: str
-    var_index: VariableIndex
-    rows: list[Row]
-    cost: np.ndarray
-    lb: np.ndarray
-    ub: np.ndarray
-    #: Cone-free: :func:`~repro.socp.solver.decompose_conic` takes the
-    #: problem directly and yields linear components only.
-    cones = ()
-
-    @property
-    def n_vars(self) -> int:
-        return self.var_index.n
 
     @property
     def n_scenarios(self) -> int:
         return self.scenarios.n_scenarios
-
-    def initial_point(self) -> np.ndarray:
-        return self.var_index.initial_point()
-
-    def to_centralized(self) -> CentralizedLP:
-        """Lower to the plain LP container (for the HiGHS reference)."""
-        a, b = rows_to_matrix(self.rows, self.var_index)
-        return CentralizedLP(
-            network=self.network,
-            var_index=self.var_index,
-            rows=self.rows,
-            a_matrix=a,
-            b_vector=b,
-            cost=self.cost,
-            lb=self.lb,
-            ub=self.ub,
-        )
 
     # Convenience extraction -------------------------------------------------
     def first_stage_setpoints(self, x: np.ndarray) -> dict[str, np.ndarray]:
@@ -259,54 +226,17 @@ def build_stochastic_lp(
             gen = scen_net.generators[name]
             gen.p_max = gen.p_max * scenarios.pv_availability[k, j]
 
-        # Scenario-local variables.  First-stage pg columns are skipped
-        # (shared); everything else is recourse.  In CVaR mode the
+        # Scenario-local variables and rows.  The first-stage pg columns
+        # are shared: the one column landing in K different scenario
+        # components is what couples the stages.  In CVaR mode the
         # recourse cost enters through the epigraph rows, not the
         # objective vector.
+        tag = f"@s{k}"
         rec_weight = weights[k] if objective == OBJECTIVE_EXPECTED else 0.0
-        for gen in scen_net.generators.values():
-            nm = _suffix(gen.name, k)
-            for a, phi in enumerate(gen.phases):
-                if gen.name not in fs:
-                    vi.add(("pg", nm, phi), gen.p_min[a], gen.p_max[a],
-                           cost=gen.cost * rec_weight)
-                vi.add(("qg", nm, phi), gen.q_min[a], gen.q_max[a])
-        for bus in scen_net.buses.values():
-            nm = _suffix(bus.name, k)
-            for a, phi in enumerate(bus.phases):
-                vi.add(("w", nm, phi), bus.w_min[a], bus.w_max[a], is_voltage=True)
-        for load in scen_net.loads.values():
-            nm = _suffix(load.name, k)
-            for phi in load.bus_phases:
-                vi.add(("pb", nm, phi))
-                vi.add(("qb", nm, phi))
-            for phi in load.phases:
-                vi.add(("pd", nm, phi))
-                vi.add(("qd", nm, phi))
-        for line in scen_net.lines.values():
-            nm = _suffix(line.name, k)
-            for a, phi in enumerate(line.phases):
-                vi.add(("pf", nm, phi), line.p_min[a], line.p_max[a])
-                vi.add(("qf", nm, phi), line.q_min[a], line.q_max[a])
-                vi.add(("pt", nm, phi), line.p_min[a], line.p_max[a])
-                vi.add(("qt", nm, phi), line.q_min[a], line.q_max[a])
-
-        # Scenario rows: suffix every key and owner except the shared
-        # first-stage pg columns — the shared column landing in K
-        # different scenario components is what couples the stages.
-        for row in build_rows(scen_net):
-            coeffs = {}
-            for key, c in row.coeffs.items():
-                kind, name, phi = key
-                if kind == "pg" and name in fs:
-                    coeffs[key] = c
-                else:
-                    coeffs[(kind, _suffix(name, k), phi)] = c
-            kind, owner_name = row.owner
-            rows.append(
-                Row(coeffs, row.rhs, (kind, _suffix(owner_name, k)),
-                    tag=f"{row.tag}@s{k}")
-            )
+        register_network(
+            vi, scen_net, tag, pg_cost=lambda gen: gen.cost * rec_weight, shared=fs
+        )
+        rows.extend(tagged_rows(scen_net, tag, shared=fs))
 
     # CVaR epigraph: t (free), per-scenario excess u_k >= 0 and slack
     # s_k >= 0 with  rec_k - t - u_k + s_k = 0, each row its own component.
@@ -329,15 +259,6 @@ def build_stochastic_lp(
                     coeffs[("pg", nm, phi)] = gen.cost
             rows.append(Row(coeffs, 0.0, ("cvar", f"s{k}"), tag=f"cvar:s{k}"))
 
-    return StochasticProblem(
-        network=net,
-        scenarios=scenarios,
-        first_stage=tuple(first_stage),
-        alpha=alpha,
-        objective=objective,
-        var_index=vi,
-        rows=rows,
-        cost=vi.costs(),
-        lb=vi.lower_bounds(),
-        ub=vi.upper_bounds(),
+    return StochasticProblem.assemble(
+        net, vi, rows, scenarios=scenarios, first_stage=tuple(first_stage), alpha=alpha
     )

@@ -24,7 +24,7 @@ import numpy as np
 from repro.core.config import ADMMConfig
 from repro.core.results import ADMMResult
 from repro.reference import solve_reference
-from repro.socp.solver import ConicDecomposition, ConicSolverFreeADMM, decompose_conic
+from repro.socp.solver import ConicSolverFreeADMM, decompose_conic
 from repro.stochastic.model import (
     OBJECTIVE_CVAR,
     OBJECTIVE_EXPECTED,
@@ -32,11 +32,6 @@ from repro.stochastic.model import (
     build_stochastic_lp,
 )
 from repro.stochastic.sampler import ScenarioSet
-
-
-def decompose_stochastic(problem: StochasticProblem) -> ConicDecomposition:
-    """Support-grouped decomposition of the scenario-expanded LP."""
-    return decompose_conic(problem)
 
 
 class StochasticSolverFreeADMM(ConicSolverFreeADMM):
@@ -85,8 +80,10 @@ def solve_two_stage(
     backend=None,
     precision: str | None = None,
     fix_first_stage: dict[str, np.ndarray] | None = None,
+    tracer=None,
 ) -> StochasticSolution:
-    """Build, decompose and solve one two-stage instance end to end."""
+    """Build, decompose and solve one two-stage instance end to end
+    (``tracer`` records the solve's ``admm.*`` spans)."""
     problem = build_stochastic_lp(
         net,
         scenarios,
@@ -96,7 +93,7 @@ def solve_two_stage(
         fix_first_stage=fix_first_stage,
     )
     solver = StochasticSolverFreeADMM(
-        decompose_stochastic(problem), config, backend=backend, precision=precision
+        decompose_conic(problem), config, tracer, backend=backend, precision=precision
     )
     result = solver.solve()
     x = result.x
@@ -129,7 +126,7 @@ def evaluate_first_stage(
         objective=OBJECTIVE_EXPECTED,
         fix_first_stage=setpoints,
     )
-    ref = solve_reference(problem.to_centralized())
+    ref = solve_reference(problem)
     return float(ref.objective)
 
 
@@ -166,13 +163,13 @@ def value_of_stochastic_solution(
     rp = build_stochastic_lp(
         net, scenarios, first_stage=first_stage, objective=OBJECTIVE_EXPECTED
     )
-    x_rp = solve_reference(rp.to_centralized()).x
+    x_rp = solve_reference(rp).x
     y_rp = rp.first_stage_setpoints(x_rp)
 
     ev = build_stochastic_lp(
         net, scenarios.mean(), first_stage=first_stage, objective=OBJECTIVE_EXPECTED
     )
-    x_ev = solve_reference(ev.to_centralized()).x
+    x_ev = solve_reference(ev).x
     y_ev = ev.first_stage_setpoints(x_ev)
 
     fs = list(rp.first_stage)

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.cli import build_parser, main, resolve_feeder
@@ -193,6 +194,22 @@ class TestTracing:
         assert main(["trace-summary", str(trace)]) == 0
         table = capsys.readouterr().out
         assert "admm.local" in table and "share %" in table
+
+    def test_solve_stochastic_traces_every_iteration(self, tmp_path, capsys):
+        from repro.telemetry import load_trace_events
+
+        trace, out = tmp_path / "t.json", tmp_path / "o.json"
+        assert main(["solve-stochastic", "--scenarios", "2", "--objective", "both",
+                     "--max-iter", "30", "--trace", str(trace),
+                     "--output", str(out)]) == 2
+        solutions = json.loads(out.read_text())["solutions"]
+        names = [e.name for e in load_trace_events(trace)]
+        assert names.count("stochastic.solve") == names.count("admm.solve") == 2
+        assert names.count("admm.local") == sum(
+            s["iterations"] for s in solutions.values()
+        ) == 60
+        for sol in solutions.values():
+            assert np.isfinite(sol["primal_violation"])
 
     def test_serve_batch_trace_covers_all_layers(self, tmp_path, capsys):
         trace = tmp_path / "trace.json"

@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 
 from repro.core import ADMMConfig
-from repro.feeders import SyntheticFeederSpec, build_synthetic_feeder
+from repro.feeders import SyntheticFeederSpec, build_synthetic_feeder, ieee13
+from repro.formulation import build_centralized_lp
 from repro.multiperiod import (
     MultiPeriodSolverFreeADMM,
     Storage,
     build_multiperiod_lp,
-    decompose_multiperiod,
 )
 from repro.reference import solve_reference
+from repro.socp import decompose_conic
 from repro.utils.exceptions import FormulationError
 
 
@@ -29,7 +30,7 @@ def mp_setup(mp_net):
     host = [b for b in mp_net.buses.values() if b.n_phases == 3][1]
     st = Storage("ess1", host.name, p_ch_max=0.1, p_dis_max=0.1, energy_max=0.3, soc0=0.15)
     prob = build_multiperiod_lp(mp_net, load, price, [st])
-    ref = solve_reference(prob.to_centralized())
+    ref = solve_reference(prob)
     return prob, ref, st
 
 
@@ -78,6 +79,74 @@ class TestBuild:
         assert mp_net.total_load_p == pytest.approx(before)
 
 
+class TestPeriodBlocks:
+    """Each period of the time-expanded LP is the single-period LP (7) of
+    that period's network with ``@t<k>`` on every name, plus storage."""
+
+    LOAD = [0.7, 1.0, 1.2, 0.9]
+    PRICE = [0.5, 0.8, 1.3, 0.7]
+    DT = 0.5
+    STORAGE_KINDS = ("sc", "sd", "se")
+
+    @pytest.fixture(scope="class")
+    def expanded(self):
+        net = ieee13()
+        storages = [
+            Storage("b675", "675", p_ch_max=0.05, p_dis_max=0.05,
+                    energy_max=0.2, soc0=0.1),
+            Storage("b680", "680", p_ch_max=0.04, p_dis_max=0.03,
+                    energy_max=0.3, soc0=0.2, cyclic=False),
+        ]
+        prob = build_multiperiod_lp(
+            net, self.LOAD, self.PRICE, storages, dt_hours=self.DT
+        )
+        return net, prob
+
+    @pytest.mark.parametrize("t", range(4))
+    def test_period_block_is_the_period_lp(self, expanded, t):
+        net, prob = expanded
+        period_net = net.copy()
+        for load in period_net.loads.values():
+            load.p_ref = load.p_ref * self.LOAD[t]
+            load.q_ref = load.q_ref * self.LOAD[t]
+        lp = build_centralized_lp(period_net)
+        tag = f"@t{t}"
+
+        def tagged(key):
+            return (key[0], key[1] + tag, key[2])
+
+        keys = prob.var_index.keys
+        block = [
+            i for i, key in enumerate(keys)
+            if key[0] not in self.STORAGE_KINDS and key[1].endswith(tag)
+        ]
+        assert [keys[i] for i in block] == [tagged(k) for k in lp.var_index.keys]
+        assert prob.lb[block].tobytes() == lp.lb.tobytes()
+        assert prob.ub[block].tobytes() == lp.ub.tobytes()
+        assert prob.initial_point()[block].tobytes() == lp.initial_point().tobytes()
+        gens = {gen.name + tag: gen for gen in net.generators.values()}
+        for j, i in enumerate(block):
+            key = keys[i]
+            want = (
+                gens[key[1]].cost * self.PRICE[t] * self.DT
+                if key[0] == "pg" else lp.cost[j]
+            )
+            assert prob.cost[i] == want, key
+
+        rows = [r for r in prob.rows if r.owner[1].endswith(tag)]
+        got = [
+            ([(k, c) for k, c in r.coeffs.items() if k[0] not in self.STORAGE_KINDS],
+             r.rhs, r.owner, r.tag)
+            for r in rows
+        ]
+        want = [
+            ([(tagged(k), c) for k, c in r.coeffs.items()],
+             r.rhs, (r.owner[0], r.owner[1] + tag), r.tag + tag)
+            for r in lp.rows
+        ]
+        assert got == want
+
+
 class TestReferenceSolution:
     def test_soc_dynamics_hold(self, mp_setup):
         prob, ref, st = mp_setup
@@ -116,7 +185,7 @@ class TestReferenceSolution:
         load = np.array([0.6, 0.7, 1.0, 1.3, 1.1, 0.8])
         price = np.array([0.5, 0.6, 1.0, 2.0, 1.5, 0.8])
         no_storage = build_multiperiod_lp(mp_net, load, price)
-        ref0 = solve_reference(no_storage.to_centralized())
+        ref0 = solve_reference(no_storage)
         assert ref.objective < ref0.objective
 
     def test_soc_within_capacity(self, mp_setup):
@@ -129,7 +198,7 @@ class TestReferenceSolution:
 class TestDistributedSolve:
     def test_admm_matches_reference(self, mp_setup):
         prob, ref, _ = mp_setup
-        dec = decompose_multiperiod(prob)
+        dec = decompose_conic(prob)
         res = MultiPeriodSolverFreeADMM(
             dec, ADMMConfig(max_iter=200_000, record_history=False)
         ).solve()
@@ -138,7 +207,7 @@ class TestDistributedSolve:
 
     def test_components_span_periods_only_for_storage(self, mp_setup):
         prob, _, st = mp_setup
-        dec = decompose_multiperiod(prob)
+        dec = decompose_conic(prob)
         storage_comps = [c for c in dec.linear if c.name == f"storage:{st.name}"]
         assert len(storage_comps) == 1
         # The storage component touches variables from every period.
@@ -147,8 +216,16 @@ class TestDistributedSolve:
 
     def test_every_variable_covered(self, mp_setup):
         prob, _, _ = mp_setup
-        dec = decompose_multiperiod(prob)
+        dec = decompose_conic(prob)
         assert np.all(dec.counts >= 1)
+
+    def test_answer_reports_primal_violation(self, mp_setup):
+        prob, _, _ = mp_setup
+        res = MultiPeriodSolverFreeADMM(
+            decompose_conic(prob), ADMMConfig(max_iter=200)
+        ).solve()
+        assert np.isfinite(res.primal_violation)
+        assert res.primal_violation == prob.primal_violation(res.x)
 
 
 class TestRollingHorizon:

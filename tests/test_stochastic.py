@@ -5,13 +5,16 @@ import pytest
 
 from repro.core import ADMMConfig
 from repro.feeders import ieee13_der
+from repro.formulation import build_centralized_lp
 from repro.reference import solve_reference
 from repro.utils.exceptions import FormulationError
 
 from repro.stochastic import (
     SAMPLE_DTYPE,
     ScenarioSampler,
+    UncertaintyModel,
     build_stochastic_lp,
+    default_first_stage,
     sample_cvar,
     solve_two_stage,
     value_of_stochastic_solution,
@@ -113,7 +116,7 @@ class TestTwoStage:
             der_net, scenarios, objective="expected", config=STOCH_CONFIG
         )
         assert sol.converged
-        ref = solve_reference(sol.problem.to_centralized())
+        ref = solve_reference(sol.problem)
         assert sol.objective == pytest.approx(ref.objective, rel=5e-3)
 
     def test_cvar_objective_at_least_expected(self, der_net, scenarios):
@@ -151,7 +154,7 @@ class TestTwoStage:
         prob = build_stochastic_lp(
             der_net, scenarios, objective="expected", fix_first_stage=fix
         )
-        ref = solve_reference(prob.to_centralized())
+        ref = solve_reference(prob)
         got = prob.first_stage_setpoints(ref.x)
         for name, want in fix.items():
             assert got[name] == pytest.approx(want, abs=1e-8)
@@ -163,6 +166,14 @@ class TestTwoStage:
         assert report.vss >= -1e-9
         assert report.vss > 1e-6
 
+    def test_answer_reports_primal_violation(self, der_net, scenarios):
+        sol = solve_two_stage(
+            der_net, scenarios, config=ADMMConfig(rho=10.0, max_iter=200)
+        )
+        violation = sol.result.primal_violation
+        assert np.isfinite(violation)
+        assert violation == sol.problem.primal_violation(sol.result.x)
+
     def test_invalid_objective_rejected(self, der_net, scenarios):
         with pytest.raises(FormulationError, match="objective"):
             build_stochastic_lp(der_net, scenarios, objective="variance")
@@ -170,3 +181,86 @@ class TestTwoStage:
     def test_invalid_alpha_rejected(self, der_net, scenarios):
         with pytest.raises(FormulationError, match="alpha"):
             build_stochastic_lp(der_net, scenarios, alpha=1.0)
+
+
+class TestScenarioBlocks:
+    """Each scenario of the expanded LP is the single-period LP (7) of that
+    scenario's network with ``@s<k>`` on every name, except the shared
+    first-stage ``pg`` columns, which every scenario's rows hold."""
+
+    @pytest.mark.parametrize("mode", ["expected", "cvar", "fixed"])
+    @pytest.mark.parametrize("k_n", [3, 4])
+    def test_scenario_block_is_the_scenario_lp(self, der_net, k_n, mode):
+        scenarios = ScenarioSampler.from_network(
+            der_net,
+            model=UncertaintyModel(load_sigma=0.1, pv_sigma=0.15),
+            seed=7,
+            antithetic=k_n % 2 == 0,
+        ).sample(k_n)
+        fs = default_first_stage(der_net, scenarios.pv_names)
+        fix = None
+        if mode == "fixed":
+            fix = {
+                name: np.full(len(der_net.generators[name].phases), 0.01)
+                for name in fs
+            }
+        prob = build_stochastic_lp(
+            der_net,
+            scenarios,
+            alpha=0.9,
+            objective="cvar" if mode == "cvar" else "expected",
+            fix_first_stage=fix,
+        )
+        keys = prob.var_index.keys
+        shared_keys = {
+            ("pg", name, phi) for name in fs for phi in der_net.generators[name].phases
+        }
+        for key in shared_keys:
+            i = prob.var_index.index(key)
+            gen = der_net.generators[key[1]]
+            assert prob.cost[i] == gen.cost
+            if fix is not None:
+                assert prob.lb[i] == prob.ub[i] == 0.01
+
+        for k in range(k_n):
+            scen_net = der_net.copy()
+            for j, name in enumerate(scenarios.load_names):
+                load = scen_net.loads[name]
+                load.p_ref = load.p_ref * scenarios.load_multipliers[k, j]
+                load.q_ref = load.q_ref * scenarios.load_multipliers[k, j]
+            for j, name in enumerate(scenarios.pv_names):
+                gen = scen_net.generators[name]
+                gen.p_max = gen.p_max * scenarios.pv_availability[k, j]
+            lp = build_centralized_lp(scen_net, validate=False)
+            tag = f"@s{k}"
+
+            def tagged(key):
+                return key if key in shared_keys else (key[0], key[1] + tag, key[2])
+
+            local = [j for j, key in enumerate(lp.var_index.keys) if key not in shared_keys]
+            block = [i for i, key in enumerate(keys) if key[1].endswith(tag)]
+            assert [keys[i] for i in block] == [tagged(lp.var_index.key_of(j)) for j in local]
+            assert prob.lb[block].tobytes() == lp.lb[local].tobytes()
+            assert prob.ub[block].tobytes() == lp.ub[local].tobytes()
+            assert (
+                prob.initial_point()[block].tobytes()
+                == lp.initial_point()[local].tobytes()
+            )
+            weight = 0.0 if mode == "cvar" else scenarios.weights[k]
+            for i, j in zip(block, local):
+                key = keys[i]
+                want = (
+                    der_net.generators[key[1][: -len(tag)]].cost * weight
+                    if key[0] == "pg" else lp.cost[j]
+                )
+                assert prob.cost[i] == want, key
+
+            rows = [r for r in prob.rows if r.owner[1].endswith(tag)]
+            got = [(list(r.coeffs.items()), r.rhs, r.owner, r.tag) for r in rows]
+            want = [
+                ([(tagged(key), c) for key, c in r.coeffs.items()],
+                 r.rhs, (r.owner[0], r.owner[1] + tag), r.tag + tag)
+                for r in lp.rows
+            ]
+            assert got == want
+            assert shared_keys <= {key for r in rows for key in r.coeffs}

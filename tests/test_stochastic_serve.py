@@ -146,6 +146,27 @@ class TestMultiPeriodServing:
         assert resp.committed_cost == pytest.approx(resp.objective)
         assert eng.snapshot()["multiperiod_requests"] == 1
 
+    def test_window_solves_traced_inside_the_request_span(self):
+        from repro.telemetry import Tracer
+
+        tracer = Tracer()
+        eng = ScenarioEngine(tracer=tracer)
+        req = MultiPeriodRequest(
+            request_id="mp2",
+            feeder="ieee13",
+            load_profile=[0.7, 1.0, 1.2],
+            storages=[{"name": "bat675", "bus": "675"}],
+            window=2,
+            options=SolveOptions(rho=10.0, max_iter=20),
+        )
+        [resp] = eng.serve([req])
+        events = tracer.events()
+        solves = [e for e in events if e.name == "admm.solve"]
+        assert len(solves) == resp.n_periods == 3
+        assert all(e.args["parent"] == "serve.multiperiod" for e in solves)
+        locals_ = [e for e in events if e.name == "admm.local"]
+        assert len(locals_) == resp.iterations == 60
+
     def test_bad_storage_is_error_response(self):
         eng = ScenarioEngine()
         req = MultiPeriodRequest(
