@@ -3,7 +3,8 @@
 Commands
 --------
 ``info``
-    Network, LP and decomposition statistics for a feeder.
+    Network, LP and decomposition statistics for a feeder, and the
+    width buckets of its batched local kernel.
 ``solve``
     Solve one rung of the fidelity ladder (``--method linearized``, the
     paper's solver-free ADMM, by default; ``qp`` or ``socp``) through
@@ -87,6 +88,11 @@ def admm_config(**fields) -> ADMMConfig:
 
 
 def cmd_info(args) -> int:
+    from collections import Counter
+
+    from repro.core.batch import plan_widths
+    from repro.qp.projection import bucket_width
+
     net = resolve_feeder(args.feeder)
     lp = build_centralized_lp(net)
     dec = decompose(lp)
@@ -111,6 +117,17 @@ def cmd_info(args) -> int:
             title="component subproblem sizes",
         )
     )
+    # The batched local kernel's width buckets, against the power-of-two
+    # padding the qp projector keeps.
+    sizes = [c.n_vars for c in dec.components]
+    rows = Counter(plan_widths(sizes))
+    padded = sum(k * w * w for w, k in rows.items())
+    pow2 = sum(bucket_width(n) ** 2 for n in sizes)
+    useful = sum(n * n for n in sizes)
+    buckets = " ".join(f"{w}x{rows[w]}" for w in sorted(rows))
+    print(f"local kernel: {len(rows)} buckets {buckets}, {padded:,} padded elements "
+          f"(pad efficiency {useful / padded:.2f}; power of two: {pow2:,}, "
+          f"{useful / pow2:.2f})")
     return 0
 
 

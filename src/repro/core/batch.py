@@ -15,18 +15,30 @@ onto the affine subspace ``{A_s x = b_s}`` — notably independent of ``rho``.
 
 On a GPU each CUDA block would own one component and its threads the entries
 of ``x_s`` (Section IV-D).  The NumPy equivalent is a *padded batched
-matmul*: components are grouped into width buckets (power-of-two padded
-``n_s``), each bucket holding a dense ``(S_b, width, width)`` tensor, so one
-``matmul`` call per bucket performs every component's projection — the exact
-data-parallel structure of the paper's kernel, bounded padding waste
-included.  The padded vectors of all buckets share one buffer, laid out
-bucket after bucket, so a call moves the stacked vector in and out of the
-padded layout with one gather each way.
+matmul*: components are grouped into width buckets, each bucket holding a
+dense ``(S_b, width, width)`` tensor, so one ``matmul`` call per bucket
+performs every component's projection — the exact data-parallel structure
+of the paper's kernel, bounded padding waste included.  The padded vectors
+of all buckets share one buffer, laid out bucket after bucket, so a call
+moves the stacked vector in and out of the padded layout with one gather
+each way.
+
+:func:`plan_widths` picks the bucket widths from the component sizes: each
+component starts in the smallest multiple of :data:`LANE` that holds it,
+and adjacent width classes merge upward wherever one ``matmul`` dispatch
+(:data:`DISPATCH`) costs more than the padding the merge adds.  Zero
+padding to a multiple of 8 leaves every product's bytes as they are at the
+power-of-two width on the BLAS this was measured on (OpenBLAS 0.3.31,
+Haswell kernels), in fp64 and fp32 alike, provided components of at most 8
+entries stay at width 8 (docs/BACKENDS.md, "Kernel layout");
+tests/test_batch.py checks it against the BLAS at hand.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 import scipy.linalg as sla
@@ -35,8 +47,52 @@ from scipy.linalg.lapack import dpotrf as _dpotrf, dpotrs as _dpotrs
 from repro.backend import Backend, get_backend
 from repro.backend.blas import single_blas_thread
 from repro.decomposition.decomposed import DecomposedOPF
-from repro.qp.projection import bucket_width
 from repro.utils.exceptions import DecompositionError
+
+#: Width granularity of the bucket plan: every bucket width is a multiple
+#: of it, and components of at most ``LANE`` entries always sit at ``LANE``.
+LANE = 8
+#: Modeled cost of one bucket's ``matmul`` dispatch, in padded elements.
+#: Fitting ``solve`` times over the ieee13, ieee34 and ieee123 plans at
+#: several values put one bucket at 5,800-8,200 padded elements (2-3 us
+#: against 0.36-0.39 ns per padded element; fp64, one OpenBLAS thread on
+#: a 2-vCPU KVM guest).  The ieee13 and ieee123 plans are the same for any
+#: value from 4,608 to 13,808.
+DISPATCH = 8192
+
+
+def plan_widths(sizes) -> list[int]:
+    """Bucket width of each component, from the component sizes alone.
+
+    Each size ``n`` starts in the width class ``LANE * ceil(n / LANE)``
+    (``LANE`` at least).  A dynamic program over the sorted classes then
+    merges runs of adjacent classes into one bucket at the run's largest
+    width, minimising ``DISPATCH * buckets + padded elements`` (the
+    ``sum S_b * width**2`` of the projection tensors).  The ``LANE`` class
+    never joins a wider bucket: in fp32 a component of 5-8 entries keeps
+    its bits only at width 8.
+    """
+    classes = [LANE * max(1, -(-int(n) // LANE)) for n in sizes]
+    counts = Counter(classes)
+    widths = sorted(counts)
+    # best[j]: the cheapest plan of the first j classes, whose last bucket
+    # starts at class cut[j]; below[j]: the components in those classes.
+    below = [0, *accumulate(counts[w] for w in widths)]
+    best = [0] + [float("inf")] * len(widths)
+    cut = [0] * (len(widths) + 1)
+    for j in range(1, len(widths) + 1):
+        width = widths[j - 1]
+        first = 1 if widths[0] == LANE and j > 1 else 0
+        for i in range(first, j):
+            cost = best[i] + DISPATCH + width * width * (below[j] - below[i])
+            if cost < best[j]:
+                best[j], cut[j] = cost, i
+    bucket_of: dict[int, int] = {}
+    j = len(widths)
+    while j:
+        bucket_of.update(dict.fromkeys(widths[cut[j]:j], widths[j - 1]))
+        j = cut[j]
+    return [bucket_of[c] for c in classes]
 
 
 @single_blas_thread()
@@ -101,6 +157,7 @@ class _Bucket:
 class BatchedLocalSolver:
     """Precomputed batched projection operators for all components.
 
+    Components are grouped into the width buckets of :func:`plan_widths`.
     Every call runs through one padded layout: the buckets' ``(S_b,
     width)`` blocks laid end to end.  ``pad_from_stack`` names the entry
     of ``v_stack`` (the stacked input plus a trailing zero slot) each
@@ -179,7 +236,7 @@ class BatchedLocalSolver:
         offsets = np.asarray(offsets, dtype=np.int64)
         if projections is not None and len(projections) != len(comps):
             raise ValueError("projections must align with comps")
-        widths = [bucket_width(c.n_vars) for c in comps]
+        widths = plan_widths(c.n_vars for c in comps)
         by_width: dict[int, list[int]] = {}
         for s, w in enumerate(widths):
             by_width.setdefault(w, []).append(s)

@@ -40,12 +40,17 @@ class MultiPeriodSolverFreeADMM(ConicSolverFreeADMM):
 
 @dataclass
 class HorizonStep:
-    """One committed period of the rolling schedule."""
+    """One committed period of the rolling schedule.
+
+    ``primal_violation`` is the window solve's: the ADMM answer's, or
+    ``prob.primal_violation(x)`` of the reference answer.
+    """
 
     period: int
     objective_window: float
     iterations: int
     converged: bool
+    primal_violation: float
     substation_p: float
     storage_p: dict[str, float]  # net injection (discharge - charge)
     storage_charge: dict[str, float]
@@ -142,6 +147,7 @@ def rolling_horizon(
         if solver == "reference":
             ref = solve_reference(prob)
             x, objective, iterations, converged = ref.x, float(ref.objective), 0, True
+            violation = prob.primal_violation(ref.x)
         else:
             admm = MultiPeriodSolverFreeADMM(
                 decompose_conic(prob),
@@ -153,6 +159,7 @@ def rolling_horizon(
             result = admm.solve()
             x, objective = result.x, float(result.objective)
             iterations, converged = result.iterations, result.converged
+            violation = result.primal_violation
 
         # Commit period 0 of the window and advance the SoC dynamics.
         vi = prob.var_index
@@ -189,6 +196,7 @@ def rolling_horizon(
                 objective_window=objective,
                 iterations=iterations,
                 converged=converged,
+                primal_violation=violation,
                 substation_p=sub_p,
                 storage_p=storage_p,
                 storage_charge=charge,

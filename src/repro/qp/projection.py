@@ -43,7 +43,8 @@ ACCEPT = 1 - 1e-4
 
 
 def bucket_width(n: int, minimum: int = 4) -> int:
-    """Power-of-two padding width for a component of size ``n``."""
+    """Power-of-two padding width for a component of size ``n``: the
+    buckets of :class:`BoxAffineProjector`."""
     w = minimum
     while w < n:
         w <<= 1
@@ -300,13 +301,14 @@ class BoxAffineProjector:
 
     ``systems`` lists each component's ``(a, b)`` and ``lb``, ``ub`` are
     the stacked bounds: component ``s`` owns the next ``a.shape[1]``
-    entries of the stacked vector.  Components are grouped by the
-    power-of-two padding width of :class:`repro.core.batch.
-    BatchedLocalSolver`; every bucket's ``(S_b, w)`` block lies end to end
-    in one padded layout, and each Newton pass is the scalar routine's
-    free mask, its first regularization level (``REG`` times the mean
-    diagonal over the component's true row count) and its full step and
-    acceptance test.
+    entries of the stacked vector.  Components are grouped by their own
+    power-of-two padding width (:func:`bucket_width`), not the planned
+    widths of :class:`repro.core.batch.BatchedLocalSolver`: the padded
+    Jacobian inverses change bits at other widths.  Every bucket's
+    ``(S_b, w)`` block lies end to end in one padded layout, and each
+    Newton pass is the scalar routine's free mask, its first
+    regularization level (``REG`` times the mean diagonal over the
+    component's true row count) and its full step and acceptance test.
 
     The first pass runs over every bucket at once: each elementwise step
     (the clip, ``- b``, the squares, the free mask, the step update and

@@ -1128,6 +1128,7 @@ class ScenarioEngine:
             iterations=sum(s.iterations for s in horizon.steps),
             pres=0.0,
             dres=0.0,
+            primal_violation=max(s.primal_violation for s in horizon.steps),
             n_periods=len(horizon.steps),
             committed_cost=horizon.committed_cost,
             soc_trajectories={

@@ -43,6 +43,19 @@ class TestCommands:
         assert main(["info", "--feeder", feeder]) == 0
         assert f"degrees of freedom {dof} " in capsys.readouterr().out
 
+    def test_info_prints_the_local_kernel_layout(self, capsys, ieee13_dec):
+        from repro.core.batch import BatchedLocalSolver
+
+        assert main(["info", "--feeder", "ieee13"]) == 0
+        [line] = [x for x in capsys.readouterr().out.splitlines()
+                  if x.startswith("local kernel:")]
+        solver = BatchedLocalSolver.from_decomposition(ieee13_dec)
+        buckets = " ".join(f"{b.width}x{b.comp_indices.size}" for b in solver.buckets)
+        assert line.startswith(
+            f"local kernel: {len(solver.buckets)} buckets {buckets}, "
+            f"{solver.padded_elements:,} padded elements"
+        )
+
     def test_solve_converges(self, capsys, tmp_path):
         out_file = tmp_path / "res.json"
         code = main(

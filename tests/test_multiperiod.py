@@ -267,6 +267,12 @@ class TestRollingHorizon:
         assert all(s.converged for s in result.steps)
         assert result.committed_cost > 0
 
+    def test_reference_steps_report_primal_violation(self, schedule):
+        """Each committed step carries its window solve's violation: within
+        HiGHS's feasibility tolerance under the reference solver."""
+        result, _ = schedule
+        assert all(0.0 <= s.primal_violation <= 1e-6 for s in result.steps)
+
     def test_admm_close_to_reference(self, mp_net, schedule):
         from repro.multiperiod import rolling_horizon
 

@@ -1,5 +1,7 @@
 """Serving-layer tests for the stochastic and multi-period workloads."""
 
+import math
+
 import pytest
 
 from repro.fleet import HashRing
@@ -145,6 +147,37 @@ class TestMultiPeriodServing:
         assert len(resp.soc_trajectories["bat675"]) == 5
         assert resp.committed_cost == pytest.approx(resp.objective)
         assert eng.snapshot()["multiperiod_requests"] == 1
+
+    def test_answer_reports_the_worst_window_violation(self):
+        """A served schedule reports the largest primal violation of its
+        committed window solves, the way a stochastic answer reports its
+        children's largest."""
+        from repro.core import ADMMConfig
+        from repro.io.resolve import resolve_feeder
+        from repro.multiperiod import rolling_horizon
+
+        req = MultiPeriodRequest(
+            request_id="mp3",
+            feeder="ieee13",
+            load_profile=[0.7, 1.0],
+            storages=[{"name": "bat675", "bus": "675"}],
+        )
+        [resp] = ScenarioEngine().serve([req])
+        assert resp.status == STATUS_CONVERGED and resp.iterations == 3881
+        opts = req.options
+        horizon = rolling_horizon(
+            resolve_feeder(req.feeder),
+            req.load_profile,
+            req.price_profile,
+            req.build_storages(),
+            window=req.window,
+            dt_hours=req.dt_hours,
+            config=ADMMConfig(rho=opts.rho, eps_rel=opts.eps_rel, max_iter=opts.max_iter),
+        )
+        worst = max(step.primal_violation for step in horizon.steps)
+        assert math.isfinite(resp.primal_violation)
+        assert resp.primal_violation == worst
+        assert not resp.certified and resp.gap is None
 
     def test_window_solves_traced_inside_the_request_span(self):
         from repro.telemetry import Tracer
