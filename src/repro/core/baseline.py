@@ -22,8 +22,9 @@ Two local execution modes:
   sequence*: every component's box-QP is the Euclidean projection of its
   target, computed for all components at once by the batched
   semismooth-Newton :class:`~repro.qp.projection.BoxAffineProjector`
-  (stacked Newton passes per width bucket, a per-component cache of the
-  Jacobian inverse, and the scalar :func:`~repro.qp.projection.
+  (a first Newton pass over every width bucket at once, later passes one
+  unconverged component at a time, a per-component cache of the Jacobian
+  inverse, and the scalar :func:`~repro.qp.projection.
   project_box_affine` for any component a full step cannot finish).  The
   qp rung of :mod:`repro.methods`, its serving batches and the layered
   benchmark's ``solve-qp-ieee13`` run and time it; Table V counts the

@@ -44,6 +44,20 @@ class QPResult:
     kkt_residual: float
 
 
+def _max_step(v: np.ndarray, dv: np.ndarray) -> float:
+    """The fraction-to-boundary step along ``dv`` that keeps ``v > 0``.
+
+    A direction entry as small as a subnormal overflows the ratio to inf,
+    which already means a full step: the overflow is not an error.
+    """
+    neg = dv < 0
+    if not neg.any():
+        return 1.0
+    with np.errstate(over="ignore"):
+        ratio = -v[neg] / dv[neg]
+    return min(1.0, float(0.995 * np.min(ratio)))
+
+
 def _solve_kkt_equality(q, d, a, b):
     """Single KKT solve for the equality-only QP (no finite bounds)."""
     n = q.shape[0]
@@ -198,13 +212,6 @@ def solve_qp_box_eq(
 
         dzl = (-r_cl - zl * dx[il]) / sl
         dzu = (-r_cu + zu * dx[iu]) / su
-
-        # Fraction-to-boundary step lengths.
-        def _max_step(v, dv):
-            neg = dv < 0
-            if not neg.any():
-                return 1.0
-            return min(1.0, float(0.995 * np.min(-v[neg] / dv[neg])))
 
         alpha_p = min(_max_step(sl, dx[il]), _max_step(su, -dx[iu]))
         alpha_d = min(_max_step(zl, dzl), _max_step(zu, dzu))

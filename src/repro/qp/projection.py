@@ -17,10 +17,10 @@ projects every component of a stacked vector at once, the way the
 benchmark ADMM's ``projection`` local mode runs (the qp rung of the
 fidelity ladder, its serving batches and its layered benchmark, all of
 which time it): a first Newton pass over every width bucket at once, later
-passes per bucket on the few components still unconverged, a
-per-component cache of the Jacobian inverse keyed by the free mask, and
-:func:`project_box_affine` itself for any component the plain full-step
-pass cannot finish.  Table V and Fig. 1 time the authentic
+passes one component at a time on views of its slots for the few still
+unconverged, a per-component cache of the Jacobian inverse keyed by the
+free mask, and :func:`project_box_affine` itself for any component the
+plain full-step pass cannot finish.  Table V and Fig. 1 time the authentic
 interior-point path instead.
 """
 
@@ -175,11 +175,6 @@ def _project(v, a, b, lb, ub, tol, max_iter) -> np.ndarray | None:
 # ----------------------------------------------------------------------
 # Batched projections
 # ----------------------------------------------------------------------
-def _matvec(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """``(S, p, q) @ (S, q) -> (S, p)``, one product per component."""
-    return np.matmul(mats, vecs[:, :, None])[:, :, 0]
-
-
 def _row_norms(rows: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce(rows * rows, axis=1))
 
@@ -200,7 +195,9 @@ class _Bucket:
     Its vectors are ``(S, w)`` views of the projector's padded buffers
     (the slots ``vec``), with ``(S, w, 1)`` twins named with a trailing 3
     for the products, and its per-component arrays views of the
-    projector's (the rows ``rows``).
+    projector's (the rows ``rows``).  A row's later passes work on
+    ``(1, ...)`` slices of the same blocks, made the first time the row
+    needs one.
     """
 
     def __init__(self, owner, comps, m, vec, rows, a, inv):
@@ -210,8 +207,9 @@ class _Bucket:
         block = self.block
         self.b, self.lb, self.ub = block(owner._b), block(owner._lb), block(owner._ub)
         self.tol_scale = TOL * np.maximum(1.0, _row_norms(self.b))
-        self.v, self.x, self.t, self.sq, self.free = (
-            block(buf) for buf in (owner._v, owner._x, owner._t, owner._sq, owner._free)
+        self.v, self.x, self.t, self.inner, self.sq, self.free = (
+            block(buf)
+            for buf in (owner._v, owner._x, owner._t, owner._inner, owner._sq, owner._free)
         )
         self.phi, self.phi_new, self.step = (
             block(buf) for buf in (owner._phi, owner._phi_new, owner._step)
@@ -225,6 +223,7 @@ class _Bucket:
         # inverse of that mask's regularized Jacobian.
         self.mask, self.cached, self.inv = block(owner._mask), owner._cached[rows], inv
         self.rebuilds = 0
+        self._views = [None] * comps.size
 
     def block(self, buf: np.ndarray) -> np.ndarray:
         """The bucket's ``(S, w)`` block of a padded vector."""
@@ -233,67 +232,86 @@ class _Bucket:
     def refresh(self, idx, mask):
         """Make the cached inverses of rows ``idx`` those of free masks
         ``mask``: slots already holding that mask are kept, the misses
-        rebuilt in one stacked call.
+        rebuilt in one stacked call."""
+        hit = np.logical_and.reduce(mask == self.mask[idx], axis=1)
+        hit &= self.cached[idx]
+        if not hit.all():
+            miss = np.flatnonzero(~hit)
+            self.build(idx[miss], mask[miss])
+
+    def build(self, idx, mask):
+        """Cache the inverses of rows ``idx``'s regularized Jacobians at
+        free masks ``mask``, in one stacked call.
 
         The regularization keeps every LU pivot of order ``REG`` times the
         mean diagonal, far above its rounding error, so no pivot is zero;
         an inverse that is not finite gives a step the acceptance test
         rejects.
         """
-        hit = np.logical_and.reduce(mask == self.mask[idx], axis=1)
-        hit &= self.cached[idx]
-        if hit.all():
-            return
-        miss = np.flatnonzero(~hit)
-        built = idx[miss]
-        ad = self.a[built] * mask[miss][:, None, :]
+        ad = self.a[idx] * mask[:, None, :]
         jac = ad @ ad.transpose(0, 2, 1)
-        m = self.m[built]
+        m = self.m[idx]
         trace = np.maximum(np.trace(jac, axis1=1, axis2=2) / np.maximum(m, 1), 1.0)
-        jac.reshape(built.size, -1)[:, :: self.width + 1] += np.where(
+        jac.reshape(idx.size, -1)[:, :: self.width + 1] += np.where(
             np.arange(self.width) < m[:, None], (REG * trace)[:, None], 1.0
         )
-        self.inv[built] = np.linalg.inv(jac)
-        self.mask[built] = mask[miss]
-        self.cached[built] = True
-        self.rebuilds += built.size
+        self.inv[idx] = np.linalg.inv(jac)
+        self.mask[idx] = mask
+        self.cached[idx] = True
+        self.rebuilds += idx.size
 
-    def newton(self, idx, nu, phi, norm):
-        """Newton passes 2, 3, ... for rows ``idx``, which carry the first
-        pass's ``nu``, ``phi`` and ``||phi||``.
+    def newton(self, i: int, norm: float) -> int:
+        """Newton passes 2, 3, ... for row ``i``, whose first step the
+        first pass accepted at residual norm ``norm``.
 
         Runs :func:`project_box_affine`'s iteration restricted to full
-        steps at the first regularization level, on copies of the rows
-        still unconverged, and writes each finished row into the output
-        block ``t``.  Returns the rows a step cannot finish (rejected step
-        or budget spent) as a list of index arrays; they are left for the
-        scalar routine.
+        steps at the first regularization level, each product the same
+        per-component call on the same shapes as the first pass's, on
+        ``(1, ...)`` views of the row's slots.  The first pass left the
+        row's ``nu`` in ``step``, its ``phi`` in ``phi_new``, its point in
+        the output block ``t`` and that point before the clip,
+        ``v - A^T nu``, in ``inner``; each pass takes its free mask from
+        ``inner`` and updates all four in place.  Returns the pass that
+        finished the row, or minus the pass at which it was given up (a
+        rejected step, or the ``MAX_ITER`` budget spent), leaving it to
+        the scalar routine.
         """
-        rejected = []
-        for _ in range(MAX_ITER - 1):
-            a, v, lb, ub, b, ts = (
-                arr[idx] for arr in (self.a, self.v, self.lb, self.ub, self.b, self.tol_scale)
-            )
-            at = a.transpose(0, 2, 1)
-            inner = v - _matvec(at, nu)
-            self.refresh(idx, (inner > lb) & (inner < ub))
-            nu = nu + _matvec(self.inv[idx], phi)
-            x_new = np.minimum(np.maximum(v - _matvec(at, nu), lb), ub)
-            phi_new = _matvec(a, x_new) - b
-            norm_new = _row_norms(phi_new)
-            done = norm_new <= ts
-            if done.all():
-                self.t[idx] = x_new
-                return rejected
-            ok = done | (norm_new < norm * ACCEPT)
-            self.t[idx[done]] = x_new[done]
-            rejected.append(idx[~ok])
-            keep = ok & ~done
-            idx, nu, phi, norm = idx[keep], nu[keep], phi_new[keep], norm_new[keep]
-            if not idx.size:
-                return rejected
-        rejected.append(idx)
-        return rejected
+        views = self._views[i] or self._row(i)
+        idx, a, at, inv, v, lb, ub, b, mask, inner, x, x3, nu, nu3, phi, phi3, d, d3 = views
+        tol = float(self.tol_scale[i])
+        for k in range(2, MAX_ITER + 1):
+            free = (inner > lb) & (inner < ub)
+            # The first pass cached every row it leaves undone, so the
+            # hit test is the mask alone; 0/1 bool masks compare as bytes,
+            # at a tenth of a not_equal(...).any().
+            if free.tobytes() != mask.tobytes():
+                self.build(idx, free)
+            np.matmul(inv, phi3, out=d3)
+            nu += d
+            np.matmul(at, nu3, out=d3)
+            np.subtract(v, d, out=inner)
+            np.minimum(np.maximum(inner, lb, out=x), ub, out=x)
+            np.matmul(a, x3, out=phi3)
+            phi -= b
+            norm_new = math.sqrt(np.add.reduce(phi * phi, axis=1)[0])
+            if norm_new <= tol:
+                return k
+            if not norm_new < norm * ACCEPT:
+                return -k
+            norm = norm_new
+        return -MAX_ITER
+
+    def _row(self, i: int) -> tuple:
+        """Row ``i``'s index, its ``(1, ...)`` views and a step scratch."""
+        one = slice(i, i + 1)
+        d3 = np.empty((1, self.width, 1))
+        self._views[i] = views = (
+            np.array([i]), self.a[one], self.at[one], self.inv[one], self.v[one],
+            self.lb[one], self.ub[one], self.b[one], self.mask[one], self.inner[one],
+            self.t[one], self.t3[one], self.step[one], self.step3[one],
+            self.phi_new[one], self.phi_new3[one], d3[:, :, 0], d3,
+        )
+        return views
 
 
 class BoxAffineProjector:
@@ -315,14 +333,17 @@ class BoxAffineProjector:
     the re-clip) is one operation on the whole padded vector, and each
     product one ``matmul`` per bucket on its ``(S_b, w, w)`` block.  Row
     norms reduce each bucket's contiguous ``(S_b, w)`` block, the layout
-    the sum order depends on.  Later passes run per bucket on copies of
-    the few rows still unconverged.
+    the sum order depends on.  Later passes run one row at a time on
+    ``(1, ...)`` views of the few rows still unconverged (one row in
+    about nine of ten calls of a spec-tier ieee13 qp solve), each pass
+    taking its free mask from the previous one's point before the clip.
 
     The regularized Jacobian depends only on ``A_s`` and the free mask, so
     each component keeps one cache slot (its last mask and that Jacobian's
     inverse); the slots' masks are views of one padded array, so the
     first pass's hit test is one whole-vector comparison, and misses are
-    rebuilt per bucket in one stacked call.  A component whose full step
+    rebuilt per bucket in one stacked call; a later pass compares its
+    row's mask alone.  A component whose full step
     is rejected (a factorization that broke down into a non-finite
     inverse included) or which is unconverged after ``MAX_ITER`` passes is
     projected again from scratch by :func:`project_box_affine`, with its
@@ -335,9 +356,10 @@ class BoxAffineProjector:
     interior-point attempt; a component already feasible at ``nu = 0``
     keeps ``clip(v)`` and its cache slot.
 
-    Everything runs in fp64 on the host, the first pass in buffers
-    allocated here.  A caller that builds the target in :attr:`v`, the
-    input buffer, spares the copy in.  ``fallbacks`` counts the projections handed to
+    Everything runs in fp64 on the host, in buffers allocated here (a
+    row's views and step scratch the first time it needs a later pass).
+    A caller that builds the target in :attr:`v`, the input buffer,
+    spares the copy in.  ``fallbacks`` counts the projections handed to
     :func:`project_box_affine` and ``rebuilds`` the Jacobian inverses
     built, both over the projector's lifetime.
     """
@@ -386,12 +408,11 @@ class BoxAffineProjector:
         )
         inv_pad = np.zeros_like(a_pad)
         # The padded vectors of a call: the target, clip(v), the first
-        # pass's x_new (the output), phi before and after the step, the
-        # squares and the step; the free mask and a comparison scratch;
-        # the cache slots' masks.
-        self._v, self._x, self._t, self._phi, self._phi_new, self._sq, self._step = (
-            np.empty(n_pad) for _ in range(7)
-        )
+        # pass's x_new (the output) and that point before the clip, phi
+        # before and after the step, the squares and the step; the free
+        # mask and a comparison scratch; the cache slots' masks.
+        (self._v, self._x, self._t, self._inner, self._phi, self._phi_new, self._sq,
+         self._step) = (np.empty(n_pad) for _ in range(8))
         self._free, self._scratch = np.empty(n_pad, bool), np.empty(n_pad, bool)
         self._mask = np.zeros(n_pad, bool)
         # Per component, in bucket order.
@@ -414,8 +435,10 @@ class BoxAffineProjector:
         self._at_x = [(bk.a, bk.x3, bk.phi3, bk.sq, bk.norm) for bk in self.buckets]
         self._at_t = [(bk.a, bk.t3, bk.phi_new3, bk.sq, bk.norm_new) for bk in self.buckets]
         self._tol = np.concatenate([bk.tol_scale for bk in self.buckets])
-        self._row_bounds = np.array([0, *(bk.rows.stop for bk in self.buckets)])
-        self._comps = order
+        # Each row's bucket, its row there and its component.
+        self._where = [
+            (bk, i, s) for bk in self.buckets for i, s in enumerate(bk.comps.tolist())
+        ]
         self.fallbacks = 0
 
     @property
@@ -463,8 +486,8 @@ class BoxAffineProjector:
         for bk in self.buckets:
             np.matmul(bk.inv, bk.phi3, out=bk.step3)
             np.matmul(bk.at, bk.step3, out=bk.t3)
-        np.subtract(vp, t, out=t)
-        np.minimum(np.maximum(t, lb, out=t), ub, out=t)
+        inner = np.subtract(vp, t, out=self._inner)
+        np.minimum(np.maximum(inner, lb, out=t), ub, out=t)
         self._affine_residuals(self._at_t, self._phi_new, self._norm_new)
         done = np.less_equal(self._norm_new, self._tol, out=self._done)
         if not every:
@@ -483,21 +506,16 @@ class BoxAffineProjector:
         return z
 
     def _later_passes(self, done: np.ndarray) -> list:
-        """Finish the components the first pass left undone: its rejected
-        steps, and the rest through their buckets' later passes.  Returns
-        the components left for the scalar routine."""
-        rows = np.flatnonzero(~done)
-        ok = self._norm_new[rows] < self._norm[rows] * ACCEPT
-        fallback = self._comps[rows[~ok]].tolist()
-        rows = rows[ok]
-        cuts = np.searchsorted(rows, self._row_bounds).tolist()
-        for bk, lo, hi in zip(self.buckets, cuts, cuts[1:]):
-            if lo < hi:
-                idx = rows[lo:hi] - bk.rows.start
-                for rejected in bk.newton(
-                    idx, bk.step[idx], bk.phi_new[idx], bk.norm_new[idx]
-                ):
-                    fallback.extend(bk.comps[rejected].tolist())
+        """Finish the components the first pass left undone, one row at a
+        time: the first step's acceptance test, then the row's later
+        passes.  Returns the components left for the scalar routine."""
+        norm, norm_new, where = self._norm, self._norm_new, self._where
+        fallback = []
+        for r in np.flatnonzero(~done).tolist():
+            bk, i, s = where[r]
+            step_norm = float(norm_new[r])
+            if not (step_norm < norm[r] * ACCEPT and bk.newton(i, step_norm) > 0):
+                fallback.append(s)
         return fallback
 
     def _non_finite(self) -> np.ndarray:

@@ -2,17 +2,20 @@
 copies of their previous implementations.
 
 :class:`repro.qp.BoxAffineProjector` takes its first Newton pass over
-every width bucket at once and :func:`repro.qp.project_box_affine` spells
-its clips and norms without NumPy's wrappers.  Both must keep every bit of
-the code they replaced, whose frozen copies below are the references:
-``parent_project_box_affine`` (with its Newton loop) and
-``ParentBoxAffineProjector`` (one stacked Newton per bucket).  Checked:
+every width bucket at once and its later passes one row at a time, and
+:func:`repro.qp.project_box_affine` spells its clips and norms without
+NumPy's wrappers.  Both must keep every bit of the code they replaced,
+whose frozen copies below are the references: ``parent_project_box_affine``
+(with its Newton loop) and ``ParentBoxAffineProjector`` (one stacked
+Newton per bucket).  Checked:
 
 * projector bytes and its ``rebuilds``/``fallbacks`` counters after every
-  call of a spec-tier ieee13 qp solve;
+  call of a spec-tier ieee13 qp solve, under either backend, with every
+  branch of the per-row later passes taken;
 * the same on Hypothesis batches of mixed components (a component with no
   equality rows, feasible at ``nu = 0``, in every batch), non-finite
-  targets, and a stack of scenarios;
+  targets, a stack of scenarios and a component that spends the Newton
+  budget;
 * scalar-routine bytes, its interior-point fallback and its
   row-equilibrated retry included.
 """
@@ -338,30 +341,75 @@ def assert_same_call(new, ref, v):
     assert (new.rebuilds, new.fallbacks) == (ref.rebuilds, ref.fallbacks)
 
 
-@pytest.mark.skipif(
-    default_backend().name != "numpy64", reason="numpy64 pin: the spec-tier qp trajectory"
-)
+def spy_later_passes(projector) -> list:
+    """Record each row the projector's per-row routine takes, as
+    ``(bucket width, signed pass count, Jacobians rebuilt)``."""
+    rows = []
+    for bk in projector.buckets:
+
+        def row(i, norm, bk=bk, newton=bk.newton):
+            before = projector.rebuilds
+            passes = newton(i, norm)
+            rows.append((bk.width, passes, projector.rebuilds - before))
+            return passes
+
+        bk.newton = row
+    return rows
+
+
+#: Per backend: the solve's (rebuilds, fallbacks), then the later passes'
+#: branches: first steps rejected, later steps rejected, rows entering a
+#: later pass, rows needing a third pass and the calls they fall in, calls
+#: with rows in two buckets, and Jacobians rebuilt inside later passes.
+IEEE13_TRAFFIC = {
+    "numpy64": ((732, 109), (103, 6, 6110, 114, 81, 359, 398)),
+    "numpy32": ((730, 109), (104, 5, 6109, 114, 81, 359, 397)),
+}
+
+
 def test_ieee13_trajectory_is_byte_identical_call_by_call():
     problem = build_method_problem(ieee13(), Method.QP)
     solver = make_method_solver(problem)
     projector = solver.projector
     ref = ParentBoxAffineProjector(projector.systems, projector.lb, projector.ub)
-    project = projector.project
-    calls = []
+    project, later_passes = projector.project, projector._later_passes
+    rows = spy_later_passes(projector)
+    calls, undone, per_call = [], [], []
 
     def checked(v, out=None):
         target = np.array(v, copy=True)
+        first = len(rows)
         z = project(v, out=out)
-        assert z.tobytes() == ref.project(target).tobytes()
+        # The reference answers in fp64; the loop keeps its own dtype.
+        assert z.tobytes() == ref.project(target).astype(z.dtype).tobytes()
         assert (projector.rebuilds, projector.fallbacks) == (ref.rebuilds, ref.fallbacks)
         calls.append(z is out)
+        per_call.append(rows[first:])
         return z
 
-    projector.project = checked
+    def counted(done):
+        undone.append(int(np.count_nonzero(~done)))
+        return later_passes(done)
+
+    projector.project, projector._later_passes = checked, counted
     result = solver.solve()
     assert result.converged and result.iterations == len(calls) == 5430
     assert all(calls)  # every projection went straight into the loop's z
-    assert (projector.rebuilds, projector.fallbacks) == (732, 109)
+    counters, branches = IEEE13_TRAFFIC[default_backend().name]
+    assert (projector.rebuilds, projector.fallbacks) == counters
+    third = [sum(abs(passes) >= 3 for _, passes, _ in call) for call in per_call]
+    assert (
+        sum(undone) - len(rows),
+        sum(passes < 0 for _, passes, _ in rows),
+        len(rows),
+        sum(third),
+        sum(map(bool, third)),
+        sum(len({width for width, _, _ in call}) == 2 for call in per_call),
+        sum(built for _, _, built in rows),
+    ) == branches
+    assert branches[0] + branches[1] == projector.fallbacks
+    # No row spends the budget here (TestBatches.test_budget_spent does).
+    assert max(abs(passes) for _, passes, _ in rows) == 3
 
 
 class TestBatches:
@@ -405,6 +453,26 @@ class TestBatches:
         assert out.tobytes() == want.astype(np.float32).tobytes()
         assert (new.rebuilds, new.fallbacks) == (ref.rebuilds, ref.fallbacks)
         assert new.fallbacks >= 2
+
+    def test_budget_spent(self):
+        """One-row components whose Jacobian diagonal (1e-14) sits far below
+        the regularization's floor of 1, so every full step is accepted but
+        removes only 1/101 of the residual: from 2.69e-10 the first row
+        converges at the last pass the budget allows, from 2.72e-10 the
+        second would need one more, and the scalar routine finishes it."""
+
+        def slow(offset):
+            return (
+                np.array([10.0 + offset]), np.array([[1e-7]]), np.array([1e-6]),
+                np.zeros(1), np.full(1, 100.0),
+            )
+
+        problems = [slow(2.69e-3), slow(2.72e-3), _EASY]
+        new, ref = _pair(p[1:] for p in problems)
+        rows = spy_later_passes(new)
+        assert_same_call(new, ref, np.concatenate([p[0] for p in problems]))
+        assert [passes for _, passes, _ in rows] == [MAX_ITER, -MAX_ITER]
+        assert new.fallbacks == 1
 
 
 class TestScalarRoutine:

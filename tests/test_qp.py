@@ -1,5 +1,7 @@
 """Tests for the dense interior-point QP solver."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.qp import solve_qp_box_eq
+from repro.qp.interior_point import _max_step
 from repro.utils.exceptions import QPSolverError
 
 
@@ -102,6 +105,15 @@ class TestBasics:
                 np.eye(1), np.zeros(1), np.zeros((0, 1)), np.zeros(0),
                 np.array([1.0]), np.array([0.0]),
             )
+
+
+def test_overflowing_step_ratio_is_a_full_step():
+    """A subnormal direction entry overflows ``-v / dv`` to inf, which is
+    a full step: no RuntimeWarning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert _max_step(np.array([1.0]), np.array([-5e-324])) == 1.0
+        assert _max_step(np.array([1.0, 2.0]), np.array([-4.0, 1.0])) == 0.995 * 0.25
 
 
 @st.composite
