@@ -103,32 +103,38 @@ class BenchmarkADMM(ConsensusADMM):
         )
 
     # ------------------------------------------------------------------
-    def local_update(self, bx, lam, rho, out=None, lam_rho=None):
-        """Every component's box-QP at ``v = B x + lam / rho``, into ``out``
-        when given (``lam_rho`` is ``lam / rho`` when the caller holds it).
-        The projection mode adds ``v`` into the projector's fp64 input
-        buffer, in the compute dtype's arithmetic, and projects into ``z``
-        (rounded once to the compute dtype)."""
-        if lam_rho is None:
-            lam_rho = lam / self.rho_vectors(rho)[1]
-        b = self.backend
-        z = b.empty(self.n_local) if out is None else out
-        projector = self.projector
+    def bind_local(self, ws):
+        """Every component's box-QP at ``v = B x + lam / rho``, into
+        ``ws.z``.  The projection mode adds ``v`` into the projector's fp64
+        input buffer, in the compute dtype's arithmetic, and projects into
+        ``z`` (rounded once to the compute dtype)."""
+        lam_rho, projector = ws.lam_rho, self.projector
         if projector is not None:
-            return projector.project(b.xp.add(bx, lam_rho, out=projector.v), out=z)
-        v = bx + lam_rho
-        rho_k = self.rho_k
-        for s, (sl, a, bs, lb, ub) in enumerate(self.qps):
-            v_s = v[sl]
-            if not np.isfinite(v_s).all():
-                z[sl] = np.nan
-                continue
-            rho_s = rho if rho_k is None else rho_k[s // self._per_scenario]
-            z[sl] = solve_qp_box_eq(
-                rho_s * np.eye(a.shape[1]), -rho_s * v_s, a, bs, lb, ub,
-                tol=self.config.qp_tol,
-            ).x
-        return z
+            add, v, project = self.backend.xp.add, projector.v, projector.project
+
+            def local_step(bx_eff, z_prev, lam, rho):
+                return project(add(bx_eff, lam_rho, out=v), out=ws.z)
+
+            return local_step
+        qps, per_scenario, rho_k, tol = (
+            self.qps, self._per_scenario, self.rho_k, self.config.qp_tol,
+        )
+
+        def local_step(bx_eff, z_prev, lam, rho):
+            z = ws.z
+            v = bx_eff + lam_rho
+            for s, (sl, a, bs, lb, ub) in enumerate(qps):
+                v_s = v[sl]
+                if not np.isfinite(v_s).all():
+                    z[sl] = np.nan
+                    continue
+                rho_s = rho if rho_k is None else rho_k[s // per_scenario]
+                z[sl] = solve_qp_box_eq(
+                    rho_s * np.eye(a.shape[1]), -rho_s * v_s, a, bs, lb, ub, tol=tol,
+                ).x
+            return z
+
+        return local_step
 
     def span_args(self) -> dict:
         return {**super().span_args(), "local_mode": self.local_mode}

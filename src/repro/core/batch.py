@@ -188,8 +188,10 @@ class BatchedLocalSolver:
         self.v_pad = b.empty(n_pad)
         self.z_pad = b.empty(n_pad)
         self.bbar_pad = b.empty(n_pad)
-        # (proj, padded input, padded output) per bucket, the vectors as
-        # (S_b, width, 1) views into the shared buffers.
+        # What every call runs with, bound here: the backend's take and
+        # matmul, and (proj, padded input, padded output) per bucket, the
+        # vectors as (S_b, width, 1) views into the shared buffers.
+        self._take, self._matmul = b.take, b.xp.matmul
         self._kernels = []
         start = 0
         for bucket in self.buckets:
@@ -310,19 +312,19 @@ class BatchedLocalSolver:
         as the ``(K, n_local / K)`` view of K scenarios' blocks inside a
         longer stacked vector.
         """
-        b = self.backend
         if v is not self.v:
             if v.shape != (self.n_local,):
                 raise ValueError(f"expected stacked vector of length {self.n_local}")
             self.v[...] = v
-        b.take(self.v_stack, self.pad_from_stack, out=self.v_pad)
-        for proj, v_pad, z_pad in self._kernels:
-            b.matmul_batched(proj, v_pad, out=z_pad)
-        self.z_pad += self.bbar_pad
+        take, matmul, z_pad = self._take, self._matmul, self.z_pad
+        take(self.v_stack, self.pad_from_stack, self.v_pad)
+        for proj, v_pad, z_out in self._kernels:
+            matmul(proj, v_pad, out=z_out)
+        z_pad += self.bbar_pad
         idx = self.stack_from_pad
         if out is not None and out.ndim > 1:
             idx = idx.reshape(out.shape)
-        return b.take(self.z_pad, idx, out=out)
+        return take(z_pad, idx, out)
 
     def solve_one(self, s: int, v_s: np.ndarray) -> np.ndarray:
         """Un-batched single-component projection (CPU-agent execution path;

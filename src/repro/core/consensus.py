@@ -20,38 +20,92 @@ import numpy as np
 
 from repro.backend import refinement_backend, resolve_backend
 from repro.core.config import ADMMConfig
-from repro.core.loop import ADMMLoop, IterationStrategy, LoopOutcome
+from repro.core.loop import ADMMLoop, IterationStrategy, LoopOutcome, Workspace
 from repro.core.results import ADMMResult
 from repro.core.rho import ResidualBalancer
 
 _BAD_WARM_START = "warm-start vectors have inconsistent shapes (wrong length)"
 
 
-def global_update(backend, gcols, counts, c, z, lam, rho, bounds=None, rho_local=None,
-                  *, c_rho=None, out=None, lam_rho=None, zl=None):
-    """Eq. (18): the closed-form global minimizer.
+def bind_global(backend, gcols, counts, c, bounds, ws, rho_vectors=None):
+    """Eq. (18), the closed-form global minimizer, as a step
+    ``(z, lam, rho) -> x``.
 
     A scatter-add of ``z - lam / rho`` over the consensus map ``gcols``,
-    shifted by the cost ``c`` and scaled by the copy counts
-    ``diag(B^T B)``, then clipped to ``bounds = (lb, ub)`` — or left as
-    the unclipped ``x_hat`` of (10) when ``bounds`` is ``None``.  ``rho``
-    is a scalar or, for stacked scenarios, a vector over the global
-    entries whose local-length twin is ``rho_local``.
+    accumulated in fp64 and rounded once to the compute dtype, shifted by
+    the cost ``c`` and scaled by the copy counts ``diag(B^T B)``, then
+    clipped to ``bounds = (lb, ub)``, or left as the unclipped ``x_hat`` of
+    (10) when ``bounds`` is ``None``.
 
-    ``c_rho`` is ``c / rho`` when the caller keeps it.  The result goes
-    into ``out``, ``lam / rho`` into ``lam_rho`` and ``z - lam / rho`` into
-    ``zl`` when given; without them each step allocates, with the dtype
-    promotion of the plain operators.
+    The step writes ``x`` into ``ws.x``, ``lam / rho`` into ``ws.lam_rho``
+    and ``z - lam / rho`` into ``ws.zl``, reading ``ws.x`` at every call;
+    where ``ws`` holds ``None`` it allocates, with the dtype promotion of
+    the plain operators.  It runs on the rho it is called with, or on
+    ``rho_vectors = (global, local)`` (each scenario's rho over its
+    slices) when given, and recomputes ``c / rho`` only when rho changes.
     """
     xp = backend.xp
-    rho_local = rho if rho_local is None else rho_local
-    lam_rho = xp.divide(lam, rho_local, out=lam_rho)
-    scatter = backend.scatter_add(
-        gcols, xp.subtract(z, lam_rho, out=zl), counts.size, out=out
-    )
-    xhat = xp.subtract(scatter, c / rho if c_rho is None else c_rho, out=out)
-    xhat = xp.divide(xhat, counts, out=out)
-    return xhat if bounds is None else backend.clip(xhat, *bounds, out=out)
+    divide, subtract, bincount = xp.divide, xp.subtract, xp.bincount
+    maximum, minimum = xp.maximum, xp.minimum
+    dtype, n = backend.compute_dtype, counts.size
+    lam_rho, zl = ws.lam_rho, ws.zl
+    lb, ub = (None, None) if bounds is None else bounds
+    rho_g, rho_l = (None, None) if rho_vectors is None else rho_vectors
+    c_rho = c_rho_for = None
+
+    def global_step(z, lam, rho):
+        nonlocal c_rho, c_rho_for
+        rg, rl = (rho, rho) if rho_g is None else (rho_g, rho_l)
+        if rg is not c_rho_for:
+            c_rho, c_rho_for = c / rg, rg
+        out = ws.x
+        total = bincount(
+            gcols, weights=subtract(z, divide(lam, rl, out=lam_rho), out=zl), minlength=n
+        )
+        if total.dtype != dtype:  # round the fp64 sum once
+            if out is None:
+                total = total.astype(dtype)
+            else:
+                out[...] = total
+                total = out
+        x = divide(subtract(total, c_rho, out=out), counts, out=out)
+        return x if lb is None else minimum(maximum(x, lb, out=out), ub, out=out)
+
+    return global_step
+
+
+def global_update(backend, gcols, counts, c, z, lam, rho, bounds=None, rho_local=None,
+                  *, out=None, lam_rho=None, zl=None):
+    """Eq. (18) once: the step of :func:`bind_global`, bound for this call.
+
+    ``rho`` is a scalar or, for stacked scenarios, a vector over the
+    global entries whose local-length twin is ``rho_local``.  The result
+    goes into ``out``, ``lam / rho`` into ``lam_rho`` and ``z - lam / rho``
+    into ``zl`` when given; without them the step allocates.
+    """
+    ws = Workspace.of(x=out, lam_rho=lam_rho, zl=zl)
+    rho_vectors = None if rho_local is None else (rho, rho_local)
+    return bind_global(backend, gcols, counts, c, bounds, ws, rho_vectors)(z, lam, rho)
+
+
+def bind_dual(backend, ws, rho_local=None):
+    """Eq. (19) as a step ``(lam, bx, z, rho) -> lam + rho (bx - z)``.
+
+    The step writes ``bx - z`` into ``ws.diff``, ``rho (bx - z)`` into
+    ``ws.step`` and the new ``lam`` into ``ws.lam``, reading ``ws.lam`` at
+    every call and allocating where ``ws`` holds ``None``.  It runs on the
+    rho it is called with, or on the local-length ``rho_local`` when given.
+    """
+    xp = backend.xp
+    subtract, add, multiply = xp.subtract, xp.add, xp.multiply
+    diff, scratch = ws.diff, ws.step
+
+    def dual_step(lam, bx, z, rho):
+        d = subtract(bx, z, out=diff)
+        step = multiply(rho if rho_local is None else rho_local, d, out=scratch)
+        return add(lam, step, out=ws.lam)
+
+    return dual_step
 
 
 @dataclass
@@ -103,16 +157,18 @@ class ScenarioStack:
 class ConsensusADMM(IterationStrategy):
     """One rung over a :class:`ScenarioStack` (``dec`` is the stack, or a
     decomposition as its K = 1 stack); subclasses supply
-    :meth:`local_update` and the class flags.
+    :meth:`bind_local` and the class flags.
 
-    The public stages (:meth:`global_update`, :meth:`local_update`,
-    :meth:`dual_update`) allocate their results unless handed buffers.
-    The engine hooks hand them the run's workspace, so inside
-    :meth:`solve` the global update computes ``lam / rho`` once for the
-    local update, the dual update leaves ``B x - z`` for the primal
-    residual, and ``c / rho`` is recomputed only when rho changes.  A
-    result's arrays belong to it: the next solve iterates in a new
-    workspace.
+    Each update rule exists once, as a step factory: :func:`bind_global`,
+    :meth:`bind_local` (the rung's own) and :func:`bind_dual`.  A run binds
+    them over its workspace (:meth:`bind_steps`), so inside :meth:`solve`
+    the global step computes ``lam / rho`` once for the local step, the
+    dual step leaves ``B x - z`` for the primal residual, and ``c / rho``
+    is recomputed only when rho changes.  The public stages
+    (:meth:`global_update`, :meth:`local_update`, :meth:`dual_update`)
+    bind the same factories for one call, over the buffers they are
+    handed, and allocate the rest.  A result's arrays belong to it: the
+    next solve iterates in a new workspace.
     """
 
     #: Clip the global update to the bounds (9d).  Rungs that keep the
@@ -170,13 +226,14 @@ class ConsensusADMM(IterationStrategy):
         # rho enters the iterates in the compute dtype (no silent fp64
         # promotion under fp32).
         self.rho_k = stack.rho
+        #: Each scenario's rho over its (global, local) slices, or ``None``
+        #: to run on the loop's rho.
+        self._rho_pair = None
         if self.rho_k is not None:
-            self._rho_g = b.asarray(np.repeat(self.rho_k, n))
-            self._rho_l = b.asarray(np.repeat(self.rho_k, base.n_local))
-        # c / rho for the rho (scalar or per-scenario vector) it was
-        # last computed for: it changes only when residual balancing
-        # moves rho.
-        self._c_rho = self._c_rho_for = None
+            self._rho_pair = (
+                b.asarray(np.repeat(self.rho_k, n)),
+                b.asarray(np.repeat(self.rho_k, base.n_local)),
+            )
         self._balancer = ResidualBalancer(
             mu=self.config.balancing_mu,
             tau=self.config.balancing_tau,
@@ -184,57 +241,68 @@ class ConsensusADMM(IterationStrategy):
         )
 
     # ------------------------------------------------------------------
-    # Update stages (exposed individually for tests and instrumentation)
+    # Update steps, bound once per run over its workspace
     # ------------------------------------------------------------------
     def rho_vectors(self, rho):
         """``(global, local)`` penalties: the loop's ``rho``, or each
         scenario's rho over its slices when the stack carries it."""
-        if self.rho_k is None:
-            return rho, rho
-        return self._rho_g, self._rho_l
+        return (rho, rho) if self._rho_pair is None else self._rho_pair
 
+    def bind_global(self, ws):
+        """Eq. (18) over ``ws``, clipped unless this rung keeps the bounds
+        local (:func:`bind_global`)."""
+        return bind_global(
+            self.backend, self.gcols, self.counts, self.c, self._bounds, ws,
+            self._rho_pair,
+        )
+
+    def bind_local(self, ws):
+        """Eq. (15), the rung's own rule, as a step ``(bx_eff, z_prev, lam,
+        rho) -> z`` at ``v = B x + lam / rho``: it reads ``lam / rho`` from
+        ``ws.lam_rho`` and writes into ``ws.z``, reading it at every call."""
+        raise NotImplementedError
+
+    def bind_dual(self, ws):
+        """Eq. (19) over ``ws`` (:func:`bind_dual`)."""
+        rho_l = None if self._rho_pair is None else self._rho_pair[1]
+        return bind_dual(self.backend, ws, rho_l)
+
+    def bind_steps(self, ws) -> dict:
+        take, gcols = self.backend.take, self.gcols
+
+        def gather(x):
+            return take(x, gcols, ws.bx)
+
+        return {
+            "global_step": self.bind_global(ws),
+            "gather": gather,
+            "local_step": self.bind_local(ws),
+            "dual_step": self.bind_dual(ws),
+        }
+
+    # -- the public stages: one call each, for callers outside the loop --
     def global_update(self, z, lam, rho, out=None, lam_rho=None, zl=None):
         """Eq. (18), clipped unless this rung keeps the bounds local.
 
         Writes ``x`` into ``out``, ``lam / rho`` into ``lam_rho`` and
         ``z - lam / rho`` into ``zl`` when given.
         """
-        rho_g, rho_l = self.rho_vectors(rho)
-        if rho_g is not self._c_rho_for:
-            self._c_rho, self._c_rho_for = self.c / rho_g, rho_g
-        return global_update(
-            self.backend, self.gcols, self.counts, self.c, z, lam, rho_g,
-            self._bounds, rho_l, c_rho=self._c_rho, out=out, lam_rho=lam_rho, zl=zl,
-        )
+        return self.bind_global(Workspace.of(x=out, lam_rho=lam_rho, zl=zl))(z, lam, rho)
 
     def local_update(self, bx, lam, rho, out=None, lam_rho=None):
         """Eq. (15) at ``v = B x + lam / rho`` (the rung's own rule), into
         ``out`` when given; ``lam_rho`` is ``lam / rho`` when the caller
         holds it."""
-        raise NotImplementedError
+        if lam_rho is None:
+            lam_rho = lam / self.rho_vectors(rho)[1]
+        if out is None:
+            out = self.backend.empty(self.n_local)
+        return self.bind_local(Workspace.of(z=out, lam_rho=lam_rho))(bx, None, lam, rho)
 
     def dual_update(self, lam, bx, z, rho, out=None, diff=None, step=None):
         """Eq. (19), into ``out`` when given; ``bx - z`` goes into ``diff``
         and ``rho (bx - z)`` into ``step`` when given."""
-        xp = self.backend.xp
-        diff = xp.subtract(bx, z, out=diff)
-        return xp.add(lam, xp.multiply(self.rho_vectors(rho)[1], diff, out=step), out=out)
-
-    # ------------------------------------------------------------------
-    # Engine hooks (repro.core.loop) — the public stages, writing into the
-    # run's workspace
-    # ------------------------------------------------------------------
-    def global_step(self, z, lam, rho):
-        ws = self.workspace
-        return self.global_update(z, lam, rho, ws.x, ws.lam_rho, ws.zl)
-
-    def local_step(self, bx_eff, z_prev, lam, rho):
-        ws = self.workspace
-        return self.local_update(bx_eff, lam, rho, ws.z, ws.lam_rho)
-
-    def dual_step(self, lam, bx_eff, z, rho):
-        ws = self.workspace
-        return self.dual_update(lam, bx_eff, z, rho, ws.lam, ws.diff, ws.step)
+        return self.bind_dual(Workspace.of(lam=out, diff=diff, step=step))(lam, bx, z, rho)
 
     def span_args(self) -> dict:
         return {

@@ -20,7 +20,23 @@ stall watch that triggers the fp64 refinement fallback.
 All array work flows through a :class:`repro.backend.Backend`, so the
 same engine runs fp64 NumPy (bit-identical to the historical loops),
 fp32 with fp64 residual accumulation, or CuPy.  Each run iterates in its
-own :class:`Workspace`, so an iteration allocates almost nothing.
+own :class:`Workspace`, so an iteration allocates almost nothing, and
+binds its update steps once over that workspace, so an iteration calls
+them directly instead of dispatching through the hooks.
+
+The hook contract: :meth:`ADMMLoop.run` looks up the strategy's hooks
+(``global_step``, ``gather``, ``local_step``, ``dual_step``,
+``residuals`` and the no-op hooks) and this module's
+``compute_residuals`` once per run, after binding the workspace.  A hook
+that is still :class:`IterationStrategy`'s own only forwards to the run's
+bound step (or, for a no-op hook, does nothing), so the loop calls the
+step directly (or skips the hook).  Anything else that answers to the
+name, such as an instance wrapper installed before ``solve()`` or a
+subclass override, runs as it is; a wrapper that calls the hook it
+replaced reaches the same bound step.  Likewise the loop evaluates (16)
+with a bound residual step unless ``compute_residuals`` was replaced, in
+which case the replacement is called every iteration with the loop's
+arrays.
 
 Who may hold which array, and for how long:
 
@@ -40,8 +56,9 @@ import contextlib
 import time
 
 from repro.backend import Backend, resolve_backend
+from repro.core import residuals as _residuals
 from repro.core.config import ADMMConfig
-from repro.core.residuals import compute_residuals
+from repro.core.residuals import bind_residuals, compute_residuals
 from repro.core.results import ADMMResult, IterationHistory
 from repro.core.rho import ResidualBalancer
 from repro.telemetry import NULL_TRACER
@@ -56,12 +73,23 @@ def _phase_timers(timed: int, *totals: float) -> dict:
 
 @contextlib.contextmanager
 def _bound(strategy, workspace):
-    """Bind ``workspace`` to ``strategy`` for the duration of one run."""
-    strategy.bind_workspace(workspace)
+    """Bind ``workspace`` to ``strategy`` for the duration of one run;
+    yields the steps the strategy bound over it."""
+    steps = strategy.bind_workspace(workspace)
     try:
-        yield workspace
+        yield steps
     finally:
         strategy.bind_workspace(None)
+
+
+def _resolve(strategy, name: str, steps: dict):
+    """What the loop calls for hook ``name`` this run: the bound step (or
+    ``None``, to skip a no-op hook) when the hook is still
+    :class:`IterationStrategy`'s own, else the hook itself."""
+    hook = getattr(strategy, name)
+    if getattr(hook, "__func__", None) is getattr(IterationStrategy, name):
+        return steps.get(name)
+    return hook
 
 
 def truncate_history(history: IterationHistory | None, n: int) -> None:
@@ -98,11 +126,24 @@ class Workspace:
     dots read their operands from; otherwise it is ``None``.
 
     Strategies that keep their own arrays (the simulated-MPI runner)
-    ignore it.
+    ignore it.  :meth:`of` wraps given arrays for a step that runs once,
+    outside a loop.
     """
 
     __slots__ = ("x", "bx", "z", "lam", "lam_rho", "zl", "diff", "step", "cast",
                  "_idle")
+
+    @classmethod
+    def of(cls, **arrays) -> "Workspace":
+        """A workspace holding ``arrays`` by name and ``None`` elsewhere: a
+        step bound over it writes into the given buffers and allocates
+        where none is given."""
+        ws = cls.__new__(cls)
+        for name in cls.__slots__:
+            setattr(ws, name, arrays.pop(name, None))
+        if arrays:
+            raise TypeError(f"not a workspace array: {', '.join(arrays)}")
+        return ws
 
     def __init__(self, backend: Backend, n: int, n_local: int):
         def iterate_set():
@@ -164,12 +205,18 @@ class LoopOutcome:
 class IterationStrategy:
     """Update rules + hooks one ADMM variant plugs into :class:`ADMMLoop`.
 
-    Concrete strategies must provide :meth:`global_step` and either
-    :meth:`local_step` plus :meth:`dual_step` or the fused
-    :attr:`local_dual_step`, and set the attributes ``algorithm_name``,
+    A strategy builds its update steps once per run in :meth:`bind_steps`,
+    over the run's :class:`Workspace`, under the hook names
+    ``global_step``, ``gather``, ``local_step`` and ``dual_step``; the
+    hooks of this class forward to them, so calling a hook calls the step
+    the run bound.  A strategy that keeps its own arrays overrides the
+    hooks instead (and may fuse the local and dual updates in
+    :attr:`local_dual_step`).  Strategies set ``algorithm_name``,
     ``gcols`` (the consensus gather index), ``c`` (the cost vector) and
-    ``backend``.  The hooks may write their outputs into the run's
-    :attr:`workspace`, never into their inputs.
+    ``backend``.  Steps write their outputs into the run's workspace,
+    never into their inputs, and read the iterate set it currently names
+    (``ws.x``, ``ws.bx``, ``ws.z``, ``ws.lam``), which changes every
+    iteration.
     """
 
     algorithm_name = "ADMM"
@@ -187,27 +234,38 @@ class IterationStrategy:
     #: relaxation do).
     dec = None
     #: The :class:`Workspace` of the run in progress (``None`` between
-    #: runs): the update hooks write their outputs into it.
+    #: runs), and the steps bound over it by hook name.
     workspace: Workspace | None = None
+    steps: dict | None = None
 
     # -- update rules ---------------------------------------------------
+    def bind_steps(self, workspace: Workspace) -> dict:
+        """The run's update steps by hook name, built over ``workspace``."""
+        return {}
+
+    def bind_workspace(self, workspace: Workspace | None) -> dict | None:
+        """Called by :meth:`ADMMLoop.run` as a run starts and ends; returns
+        the steps bound for the run."""
+        self.workspace = workspace
+        self.steps = None if workspace is None else self.bind_steps(workspace)
+        return self.steps
+
     def global_step(self, z, lam, rho):
-        raise NotImplementedError
+        """Eq. (18): the run's bound step."""
+        return self.steps["global_step"](z, lam, rho)
 
     def gather(self, x):
-        """``B x`` — the consensus gather, into the workspace."""
-        return self.backend.take(x, self.gcols, out=self.workspace.bx)
+        """``B x`` — the consensus gather: the run's bound step."""
+        return self.steps["gather"](x)
 
     def local_step(self, bx_eff, z_prev, lam, rho):
-        raise NotImplementedError
+        """Eq. (15): the run's bound step."""
+        return self.steps["local_step"](bx_eff, z_prev, lam, rho)
 
     def dual_step(self, lam, bx_eff, z, rho):
-        """Eq. (19); must leave ``bx_eff - z`` in ``workspace.diff``."""
-        raise NotImplementedError
-
-    def bind_workspace(self, workspace: Workspace | None) -> None:
-        """Called by :meth:`ADMMLoop.run` as a run starts and ends."""
-        self.workspace = workspace
+        """Eq. (19): the run's bound step; it leaves ``bx_eff - z`` in
+        ``workspace.diff``."""
+        return self.steps["dual_step"](lam, bx_eff, z, rho)
 
     def objective(self, x) -> float:
         """Cost of a (possibly fp32 / device) solution, fp64-accumulated."""
@@ -240,8 +298,9 @@ class ADMMLoop:
     """The shared iteration engine.
 
     Every :meth:`run` allocates a :class:`Workspace` through the backend,
-    binds it to the strategy for the run's duration, and iterates in it:
-    iteration k writes one of its two iterate sets and reads the other.
+    binds it to the strategy for the run's duration (the strategy binds
+    its steps over it), and iterates in it: iteration k writes one of its
+    two iterate sets and reads the other.
 
     Parameters
     ----------
@@ -337,19 +396,7 @@ class ADMMLoop:
         stall_best = None  # running best of the stall metric
         stall_best_at_check = None  # its value at the previous check
         guard = cfg.divergence_guard
-        # The strategy's hooks and the residual function are looked up once
-        # per run, not per iteration, and never earlier: instrumentation may
-        # wrap them between runs.
-        on_iteration_start = strat.on_iteration_start
-        global_step = strat.global_step
-        gather = strat.gather
-        local_dual_step = strat.local_dual_step
-        local_step = strat.local_step
-        dual_step = strat.dual_step
-        strategy_residuals = strat.residuals
-        after_residuals = strat.after_residuals
-        on_iteration_continue = strat.on_iteration_continue
-        compute, eps_rel, backend = compute_residuals, cfg.eps_rel, self.backend
+        eps_rel, backend = cfg.eps_rel, self.backend
         if history is not None:
             keep_pres, keep_dres = history.pres.append, history.dres.append
             keep_eps_prim = history.eps_prim.append
@@ -368,8 +415,9 @@ class ADMMLoop:
         iteration = 0
         best = None  # (iteration, x, z, lam, res) of the last finite state
         stalled = False
+        ws = Workspace(backend, x.size, z.size)
         with (
-            _bound(strat, Workspace(backend, x.size, z.size)) as ws,
+            _bound(strat, ws) as steps,
             tracer.span(
                 "admm.solve",
                 algorithm=strat.algorithm_name,
@@ -378,14 +426,35 @@ class ADMMLoop:
                 **strat.span_args(),
             ),
         ):
+            # The hooks and the residual function are looked up once per
+            # run, once the steps are bound, and never earlier:
+            # instrumentation may wrap them between runs.
+            on_iteration_start = _resolve(strat, "on_iteration_start", steps)
+            global_step = _resolve(strat, "global_step", steps)
+            gather = _resolve(strat, "gather", steps)
+            local_dual_step = strat.local_dual_step
+            local_step = _resolve(strat, "local_step", steps)
+            dual_step = _resolve(strat, "dual_step", steps)
+            after_residuals = _resolve(strat, "after_residuals", steps)
+            on_iteration_continue = _resolve(strat, "on_iteration_continue", steps)
+            strategy_residuals = strat.residuals
+            compute = compute_residuals
             flip = ws.flip
             # The primal residual reuses the dual step's B x - z, unless
             # over-relaxation fed that step B x_eff or a fused step ran.
             pres_diff = ws.diff if relax == 1.0 and local_dual_step is None else None
+            # (16) by the run's bound residual step, unless the strategy
+            # brings its own or compute_residuals was replaced.
+            residual_step = None
+            if strategy_residuals is None and compute is _residuals.compute_residuals:
+                residual_step = bind_residuals(
+                    backend.xp, eps_rel, pres_diff, ws.step, ws.cast
+                )
             while iteration < budget:
                 iteration += 1
                 flip()
-                z, lam = on_iteration_start(iteration, z, lam, rho)
+                if on_iteration_start is not None:
+                    z, lam = on_iteration_start(iteration, z, lam, rho)
                 try:
                     t0 = clock() if stamp else 0.0
                     x = global_step(z, lam, rho)
@@ -409,7 +478,9 @@ class ADMMLoop:
                     truncate_history(history, rewind.iteration)
                     iteration = rewind.iteration
                     continue
-                if strategy_residuals is not None:
+                if residual_step is not None:
+                    res = residual_step(bx, z, z_prev, lam, rho)
+                elif strategy_residuals is not None:
                     res = strategy_residuals(iteration, x, bx, z, z_prev, lam, rho)
                 else:
                     res = compute(
@@ -442,7 +513,8 @@ class ADMMLoop:
                         # The callback is handed the live arrays and may
                         # write into them.
                         best = (iteration, x.copy(), z.copy(), lam.copy(), res)
-                after_residuals(iteration, res)
+                if after_residuals is not None:
+                    after_residuals(iteration, res)
                 if history is not None:
                     keep_pres(res.pres)
                     keep_dres(res.dres)
@@ -458,7 +530,8 @@ class ADMMLoop:
                         rho, iteration, res.pres, res.dres, res.eps_prim, res.eps_dual
                     )
                     rho_f = float(rho)
-                on_iteration_continue(iteration, z, lam, rho)
+                if on_iteration_continue is not None:
+                    on_iteration_continue(iteration, z, lam, rho)
                 if stall_watch:
                     # ADMM residuals oscillate, so single-iterate
                     # comparisons would routinely flag healthy runs; the

@@ -137,7 +137,13 @@ class PrivateSolverFreeADMM(SolverFreeADMM):
         self.accountant.record(dec.n_components)
         return out
 
-    def local_step(self, bx_eff, z_prev, lam, rho):
-        z_exact = self.local_update(bx_eff, lam, rho)
-        # Only the privatized solution leaves the agent.
-        return self._privatize(z_exact, z_prev)
+    def bind_steps(self, ws) -> dict:
+        steps = super().bind_steps(ws)
+        exact, privatize = steps["local_step"], self._privatize
+
+        def local_step(bx_eff, z_prev, lam, rho):
+            # Only the privatized solution leaves the agent.
+            return privatize(exact(bx_eff, z_prev, lam, rho), z_prev)
+
+        steps["local_step"] = local_step
+        return steps

@@ -15,6 +15,7 @@ where ``B x`` is the gather ``x[global_cols]``.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -51,6 +52,42 @@ class Residuals:
         )
 
 
+def _residuals(subtract, eps_rel, diff, scratch, cast, bx, z, z_prev, lam, rho):
+    """(16) from the stacked iterates: five fp64-accumulated dots (the rule
+    :func:`bind_residuals` binds and :func:`compute_residuals` calls)."""
+    d = bx - z if diff is None else diff
+    dz = subtract(z, z_prev, out=scratch)
+    if cast is not None:
+        w_diff, w_dz, w_bx, w_z, w_lam = cast
+        w_diff[...] = d
+        w_dz[...] = dz
+        w_bx[...] = bx
+        w_z[...] = z
+        w_lam[...] = lam
+        d, dz, bx, z, lam = cast
+    sqrt = math.sqrt
+    pres = sqrt(d.dot(d))
+    dres = float(rho * sqrt(dz.dot(dz)))
+    eps_prim = float(eps_rel * max(sqrt(bx.dot(bx)), sqrt(z.dot(z))))
+    eps_dual = float(eps_rel * sqrt(lam.dot(lam)))
+    return Residuals(pres, dres, eps_prim, eps_dual)
+
+
+def bind_residuals(xp, eps_rel: float, diff=None, scratch=None, cast=None):
+    """Evaluation of (16) as a step ``(bx, z, z_prev, lam, rho) ->
+    Residuals``: five fp64-accumulated dots.
+
+    ``xp`` is the array namespace of the iterates.  ``diff`` is a buffer
+    that holds ``bx - z`` whenever the step is called (the loop's dual
+    step leaves it there), or ``None`` to compute it.  ``z - z_prev``
+    goes into ``scratch`` (allocated when ``None``).  ``cast`` holds five
+    accumulate-dtype (fp64) vectors that narrower (fp32) iterates are
+    copied into before the dots, so the dots accumulate in fp64; ``None``
+    runs the dots on the iterates themselves.
+    """
+    return functools.partial(_residuals, xp.subtract, eps_rel, diff, scratch, cast)
+
+
 def compute_residuals(
     bx: np.ndarray,
     z: np.ndarray,
@@ -63,7 +100,8 @@ def compute_residuals(
     scratch: np.ndarray | None = None,
     cast: tuple | None = None,
 ) -> Residuals:
-    """Evaluate (16) from the stacked iterates: five fp64-accumulated dots.
+    """Evaluate (16) once from the stacked iterates, by the rule
+    :func:`bind_residuals` binds.
 
     Parameters
     ----------
@@ -91,23 +129,9 @@ def compute_residuals(
 
         backend = get_backend("numpy64")
     xp = backend.xp
-    if diff is None:
-        diff = bx - z
-    dz = xp.subtract(z, z_prev, out=scratch)
     acc = backend.accumulate_dtype
-    if z.dtype != acc:  # fp32 iterates: accumulate the dots in fp64 copies
-        if cast is None:
-            cast = tuple(xp.empty(z.shape, dtype=acc) for _ in range(5))
-        w_diff, w_dz, w_bx, w_z, w_lam = cast
-        w_diff[...] = diff
-        w_dz[...] = dz
-        w_bx[...] = bx
-        w_z[...] = z
-        w_lam[...] = lam
-        diff, dz, bx, z, lam = cast
-    sqrt = math.sqrt
-    pres = sqrt(diff.dot(diff))
-    dres = float(rho * sqrt(dz.dot(dz)))
-    eps_prim = float(eps_rel * max(sqrt(bx.dot(bx)), sqrt(z.dot(z))))
-    eps_dual = float(eps_rel * sqrt(lam.dot(lam)))
-    return Residuals(pres, dres, eps_prim, eps_dual)
+    if z.dtype == acc:
+        cast = None
+    elif cast is None:
+        cast = tuple(xp.empty(z.shape, dtype=acc) for _ in range(5))
+    return _residuals(xp.subtract, eps_rel, diff, scratch, cast, bx, z, z_prev, lam, rho)

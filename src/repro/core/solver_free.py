@@ -84,14 +84,16 @@ class SolverFreeADMM(ConsensusADMM):
             comps, offsets, projections=local, backend=self.backend
         )
 
-    def local_update(self, bx, lam, rho, out=None, lam_rho=None):
+    def bind_local(self, ws):
         """Eq. (15): batched projection of ``v = B x + lam / rho``, built in
-        the batched solver's input buffer and written into ``out`` when
-        given (``lam_rho`` is ``lam / rho`` when the caller holds it)."""
-        solver = self.local_solver
-        if lam_rho is None:
-            lam_rho = lam / self.rho_vectors(rho)[1]
-        return solver.solve(self.backend.xp.add(bx, lam_rho, out=solver.v), out)
+        the batched solver's input buffer and written into ``ws.z``."""
+        add, lam_rho = self.backend.xp.add, ws.lam_rho
+        v, solve = self.local_solver.v, self.local_solver.solve
+
+        def local_step(bx_eff, z_prev, lam, rho):
+            return solve(add(bx_eff, lam_rho, out=v), ws.z)
+
+        return local_step
 
     # ------------------------------------------------------------------
     # Instrumentation for the parallel/GPU performance studies

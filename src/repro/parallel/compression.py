@@ -131,13 +131,20 @@ class CompressedSolverFreeADMM(SolverFreeADMM):
         self.bytes_sent = 0
         self.bytes_dense = 0
 
-    def local_step(self, bx_eff, z_prev, lam, rho):
-        z_exact = self.local_update(bx_eff, lam, rho)
-        # Compress the innovation against the operator's current view.
-        msg = self.compressor.compress(z_exact - z_prev)
-        self.bytes_sent += msg.nbytes
-        self.bytes_dense += z_exact.itemsize * z_exact.size
-        return z_prev + msg.values
+    def bind_steps(self, ws) -> dict:
+        steps = super().bind_steps(ws)
+        exact, compress = steps["local_step"], self.compressor.compress
+
+        def local_step(bx_eff, z_prev, lam, rho):
+            z_exact = exact(bx_eff, z_prev, lam, rho)
+            # Compress the innovation against the operator's current view.
+            msg = compress(z_exact - z_prev)
+            self.bytes_sent += msg.nbytes
+            self.bytes_dense += z_exact.itemsize * z_exact.size
+            return z_prev + msg.values
+
+        steps["local_step"] = local_step
+        return steps
 
     def solve(self, x0=None, z0=None, lam0=None, max_iter=None, callback=None) -> ADMMResult:
         self.bytes_sent = 0

@@ -601,8 +601,11 @@ class _ServingBatch:
         if name == "strategy":  # not yet bound: no delegation loop
             raise AttributeError(name)
         value = getattr(self.strategy, name)
-        # Bind it here: the loop reads its hooks every iteration, and a
-        # batch's strategy does not change while it solves.
+        # Keep it here: the loop reads its hooks once per run, but this
+        # batch's own hooks read the strategy's attributes every iteration,
+        # and a batch's strategy does not change while it solves.  The
+        # run's bound steps reach the loop through ``bind_workspace``'s
+        # return value, never through here.
         setattr(self, name, value)
         return value
 

@@ -184,26 +184,31 @@ class ConicSolverFreeADMM(ConsensusADMM):
         #: Every scenario's cones, rows ``(le, w, P, Q)``, in fp64 buffers.
         self.cones = ConeKernel(self.k_n * base.cone_cols.shape[0], 3)
 
-    def local_update(self, bx, lam, rho, out=None, lam_rho=None):
+    def bind_local(self, ws):
         """Batched closed-form projections of ``v = B x + lam / rho``:
         every scenario's affine blocks in one batch, then every cone, each
-        built in its kernel's input buffer and written straight into ``z``
-        (``out`` when given; ``lam_rho`` is ``lam / rho`` when the caller
-        holds it).  The cones' ``v`` is added in the compute dtype and
+        built in its kernel's input buffer and written straight into
+        ``ws.z``.  The cones' ``v`` is added in the compute dtype and
         projected in fp64."""
-        b = self.backend
-        xp = b.xp
+        add = self.backend.xp.add
         k_n, n_linear = self.k_n, self.n_linear
-        if lam_rho is None:
-            lam_rho = lam / self.rho_vectors(rho)[1]
-        z = b.empty(self.n_local) if out is None else out
-        bxm, lrm, zm = bx.reshape(k_n, -1), lam_rho.reshape(k_n, -1), z.reshape(k_n, -1)
-        solver = self.linear_solver
-        xp.add(bxm[:, :n_linear], lrm[:, :n_linear], out=solver.v.reshape(k_n, n_linear))
-        solver.solve(solver.v, out=zm[:, :n_linear])
-        cones = self.cones
-        xp.add(bxm[:, n_linear:], lrm[:, n_linear:], out=cones.x.reshape(k_n, -1))
-        # Each scenario's cone block is a strided row of zm: (K, cones, 4)
-        # views it in place, where a flat (-1, 4) reshape would copy.
-        cones.rotated(zm[:, n_linear:].reshape(k_n, -1, 4))
-        return z
+        solver, cones = self.linear_solver, self.cones
+        solve, rotated, v = solver.solve, cones.rotated, solver.v
+        # Each scenario's linear and cone parts, as (K, ...) views of the
+        # fixed buffers; the iterates' views are taken per call.
+        lrm = ws.lam_rho.reshape(k_n, -1)
+        lr_linear, lr_cones = lrm[:, :n_linear], lrm[:, n_linear:]
+        v_linear, v_cones = v.reshape(k_n, n_linear), cones.x.reshape(k_n, -1)
+
+        def local_step(bx_eff, z_prev, lam, rho):
+            z = ws.z
+            bxm, zm = bx_eff.reshape(k_n, -1), z.reshape(k_n, -1)
+            add(bxm[:, :n_linear], lr_linear, out=v_linear)
+            solve(v, out=zm[:, :n_linear])
+            add(bxm[:, n_linear:], lr_cones, out=v_cones)
+            # Each scenario's cone block is a strided row of zm: (K, cones,
+            # 4) views it in place, where a flat (-1, 4) reshape would copy.
+            rotated(zm[:, n_linear:].reshape(k_n, -1, 4))
+            return z
+
+        return local_step
