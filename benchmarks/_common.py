@@ -110,48 +110,44 @@ def get_solution(name: str):
 #: Timings per component local update; each cost is the best of them, on
 #: both sides, so one slow timing cannot move a simulated time severalfold.
 LOCAL_COST_REPEATS = 3
+#: Instances with more components time the benchmark on a sample this size.
+LOCAL_COST_SAMPLE = 400
 
 
 @functools.lru_cache(maxsize=None)
 def get_local_costs(name: str) -> tuple[np.ndarray, np.ndarray]:
     """Measured per-component local-update seconds: (ours, benchmark).
 
-    Benchmark costs on large instances are measured on a size-stratified
-    sample and imputed by subproblem dimension (measuring 15k interior-point
-    solves serially would dominate the harness runtime without changing the
-    statistics).
+    Each component's two costs are timed back to back, so both see the
+    host at the same moment.  Each side's inputs are those of its
+    ``measure_local_costs``.  Benchmark costs on large instances are
+    measured on a size-stratified sample and imputed by subproblem
+    dimension (measuring 15k interior-point solves serially would dominate
+    the harness runtime without changing the statistics).
     """
     dec = get_dec(name)
-    ours = SolverFreeADMM(dec).measure_local_costs(repeats=LOCAL_COST_REPEATS)
-    bench = BenchmarkADMM(dec)
-    s_total = dec.n_components
-    if s_total <= 400:
-        theirs = bench.measure_local_costs(repeats=LOCAL_COST_REPEATS)
-    else:
-        rng = np.random.default_rng(0)
-        sample = rng.choice(s_total, size=400, replace=False)
-        sizes = np.array([c.n_vars for c in dec.components])
-        by_size: dict[int, list[float]] = {}
-        from repro.qp import solve_qp_box_eq
-        import time as _time
-
-        for s in sample:
-            comp = dec.components[s]
-            v = rng.standard_normal(comp.n_vars) * 0.1
-            best = float("inf")
-            for _ in range(LOCAL_COST_REPEATS):
-                t0 = _time.perf_counter()
-                solve_qp_box_eq(
-                    100.0 * np.eye(comp.n_vars), -100.0 * v, comp.a, comp.b,
-                    comp.lb, comp.ub,
-                )
-                best = min(best, _time.perf_counter() - t0)
-            by_size.setdefault(comp.n_vars, []).append(best)
-        means = {k: float(np.mean(v)) for k, v in by_size.items()}
-        keys = np.array(sorted(means))
-        vals = np.array([means[k] for k in keys])
-        theirs = np.interp(sizes, keys, vals)
-    return ours, theirs
+    ours_solver, bench = SolverFreeADMM(dec), BenchmarkADMM(dec)
+    sizes = np.array([c.n_vars for c in dec.components])
+    n = sizes.size
+    ours_rng, bench_rng = np.random.default_rng(0), np.random.default_rng(0)
+    sample = range(n) if n <= LOCAL_COST_SAMPLE else bench_rng.choice(
+        n, size=LOCAL_COST_SAMPLE, replace=False
+    )
+    bench_v = {int(s): bench_rng.standard_normal(sizes[s]) * 0.1 for s in sample}
+    ours, measured = np.empty(n), {}
+    for s in range(n):
+        ours[s] = ours_solver.local_cost(s, ours_rng.standard_normal(sizes[s]),
+                                         LOCAL_COST_REPEATS)
+        if s in bench_v:
+            measured[s] = bench.local_cost(s, bench_v[s], LOCAL_COST_REPEATS)
+    if len(measured) == n:
+        return ours, np.array([measured[s] for s in range(n)])
+    by_size: dict[int, list[float]] = {}
+    for s, cost in measured.items():
+        by_size.setdefault(int(sizes[s]), []).append(cost)
+    keys = np.array(sorted(by_size))
+    vals = np.array([np.mean(by_size[k]) for k in keys])
+    return ours, np.interp(sizes, keys, vals)
 
 
 def report(name: str, text: str) -> None:

@@ -146,21 +146,24 @@ class BenchmarkADMM(ConsensusADMM):
         )
 
     # ------------------------------------------------------------------
-    def measure_local_costs(self, repeats: int = 3, rho: float | None = None) -> np.ndarray:
-        """Measured seconds of one authentic (interior-point) local solve per
-        component — the benchmark's per-agent unit of work."""
-        rho = self.config.rho if rho is None else rho
+    def local_cost(self, s: int, v: np.ndarray, repeats: int = 3) -> float:
+        """Best seconds of ``repeats`` authentic (interior-point) local
+        solves of component ``s`` at ``v`` — the benchmark's per-agent
+        unit of work."""
+        rho = self.config.rho
+        _, a, b, lb, ub = self.qps[s]
+        n_s = a.shape[1]
+        best = float("inf")
+        for _ in range(repeats):
+            t0 = time.perf_counter()
+            solve_qp_box_eq(rho * np.eye(n_s), -rho * v, a, b, lb, ub, tol=self.config.qp_tol)
+            best = min(best, time.perf_counter() - t0)
+        return best
+
+    def measure_local_costs(self, repeats: int = 3) -> np.ndarray:
+        """:meth:`local_cost` of every component at a seeded random ``v``."""
         rng = np.random.default_rng(0)
-        costs = np.empty(len(self.qps))
-        for s, (_, a, b, lb, ub) in enumerate(self.qps):
-            n_s = a.shape[1]
-            v = rng.standard_normal(n_s) * 0.1
-            best = float("inf")
-            for _ in range(repeats):
-                t0 = time.perf_counter()
-                solve_qp_box_eq(
-                    rho * np.eye(n_s), -rho * v, a, b, lb, ub, tol=self.config.qp_tol
-                )
-                best = min(best, time.perf_counter() - t0)
-            costs[s] = best
-        return costs
+        return np.array([
+            self.local_cost(s, rng.standard_normal(a.shape[1]) * 0.1, repeats)
+            for s, (_, a, _, _, _) in enumerate(self.qps)
+        ])

@@ -192,6 +192,8 @@ class BatchedLocalSolver:
         # matmul, and (proj, padded input, padded output) per bucket, the
         # vectors as (S_b, width, 1) views into the shared buffers.
         self._take, self._matmul = b.take, b.xp.matmul
+        # The gather index back, reshaped once per output shape.
+        self._idx_shaped = {}
         self._kernels = []
         start = 0
         for bucket in self.buckets:
@@ -323,7 +325,10 @@ class BatchedLocalSolver:
         z_pad += self.bbar_pad
         idx = self.stack_from_pad
         if out is not None and out.ndim > 1:
-            idx = idx.reshape(out.shape)
+            try:
+                idx = self._idx_shaped[out.shape]
+            except KeyError:
+                idx = self._idx_shaped[out.shape] = idx.reshape(out.shape)
         return take(z_pad, idx, out)
 
     def solve_one(self, s: int, v_s: np.ndarray) -> np.ndarray:

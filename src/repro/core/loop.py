@@ -160,6 +160,14 @@ class Workspace:
             backend.xp.empty(n_local, dtype=acc) for _ in range(5)
         )
 
+    def iterate_pairs(self) -> list:
+        """The ``(bx, z)`` pair of each iterate set that holds both, the
+        current set first: what a step may bind views of for a run."""
+        sets = [(self.bx, self.z)]
+        if self._idle is not None:
+            sets.append(self._idle[1:3])
+        return [(bx, z) for bx, z in sets if bx is not None and z is not None]
+
     def flip(self) -> None:
         """Make the idle set the one the next iteration writes."""
         idle = self._idle

@@ -98,21 +98,24 @@ class SolverFreeADMM(ConsensusADMM):
     # ------------------------------------------------------------------
     # Instrumentation for the parallel/GPU performance studies
     # ------------------------------------------------------------------
+    def local_cost(self, s: int, v: np.ndarray, repeats: int = 5) -> float:
+        """Best wall seconds of ``repeats`` un-batched local updates of
+        component ``s`` at ``v`` (the unit of work a CPU agent performs
+        each iteration)."""
+        best = float("inf")
+        for _ in range(repeats):
+            t0 = time.perf_counter()
+            self.local_solver.solve_one(s, v)
+            best = min(best, time.perf_counter() - t0)
+        return best
+
     def measure_local_costs(self, repeats: int = 5) -> np.ndarray:
-        """Measured wall seconds of one *un-batched* local update per
-        component (the unit of work a CPU agent performs each iteration).
+        """:meth:`local_cost` of every component at a seeded random ``v``.
 
         Used by the simulated cluster to replay per-rank compute time.
         """
         rng = np.random.default_rng(0)
-        costs = np.empty(self.n_components)
-        for s in range(self.n_components):
-            n_s = int(self.local_solver.sizes[s])
-            v = rng.standard_normal(n_s)
-            best = float("inf")
-            for _ in range(repeats):
-                t0 = time.perf_counter()
-                self.local_solver.solve_one(s, v)
-                best = min(best, time.perf_counter() - t0)
-            costs[s] = best
-        return costs
+        return np.array([
+            self.local_cost(s, rng.standard_normal(int(n_s)), repeats)
+            for s, n_s in enumerate(self.local_solver.sizes)
+        ])

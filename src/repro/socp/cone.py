@@ -22,7 +22,7 @@ Dtype discipline: every projection computes in host fp64 (the square roots
 and cancellations want the headroom) but returns in the *caller's* dtype,
 mirroring :func:`repro.qp.projection.project_box_affine` — an fp32 backend's
 iterates pass through without silent promotion, and fp64 inputs round-trip
-bit-identically (the final cast is a no-op view).
+bit-identically.
 """
 
 from __future__ import annotations
@@ -51,8 +51,14 @@ class ConeKernel:
     """Closed-form projections of ``m`` rows at once, in fp64 buffers
     allocated here, so a call allocates nothing.
 
+    The buffers are laid out as structure of arrays: one contiguous row
+    of ``m`` entries per coordinate, so every step of a call is one
+    whole-row NumPy operation over views and constant operands bound
+    here.
+
     :meth:`standard` projects each row ``(s, tail)`` of :attr:`s` and
-    :attr:`tail` (``(m, d)``) onto the standard cone ``||tail|| <= s``:
+    :attr:`tail` (``(m, d)``) onto the standard cone ``||tail|| <= s``,
+    into :attr:`t_out` and :attr:`z_out`:
 
     * inside rows stay as they are;
     * polar rows (``||tail|| <= -s``) go to the origin;
@@ -60,62 +66,94 @@ class ConeKernel:
       ``alpha = (1 + s / ||tail||) / 2``.
 
     The origin is both inside and polar, and inside wins, so a signed zero
-    ``s`` passes through.  The norm reduces the contiguous ``(m, d)``
-    squares, as ``np.linalg.norm(tail, axis=1)`` does, so every bit
+    ``s`` passes through: only the polar rows that are not inside are
+    zeroed.  The norm sums the squares row after row, the order in which
+    ``np.linalg.norm(tail, axis=1)`` reduces a few columns, so every bit
     matches the textbook formula.
 
     :meth:`rotated` projects rows ``(u, v, w_1 .. w_{d-1})`` of :attr:`x`
     onto the rotated cone through the isometry ``(s, d) = ((u + v),
-    (u - v)) / sqrt(2)``, and writes them into ``out``.
+    (u - v)) / sqrt(2)``, and writes them into ``out``.  :attr:`x` is the
+    input buffer callers fill; a call copies it into the coordinate rows
+    once and copies the result out once.
+
+    :attr:`s`, :attr:`tail`, :attr:`t_out` and :attr:`z_out` are views
+    of the coordinate rows (``tail`` and ``z_out`` transposed).
+    :meth:`standard` consumes its inputs: it overwrites :attr:`s` and
+    :attr:`tail` (``s`` with ``||tail||`` on boundary rows, both with 0
+    on polar rows), so they must be refilled before each call, as
+    :meth:`rotated` does from :attr:`x`.
     """
 
     def __init__(self, m: int, d: int):
-        self.x = np.empty((m, d + 1))
-        self.s, self.tail = np.empty(m), np.empty((m, d))
-        self._sq, self._nz, self._alpha = np.empty((m, d)), np.empty(m), np.empty(m)
-        self._neg, self._result = np.empty(m), np.empty((m, d + 1))
-        self._inside, self._polar, self._boundary = (np.empty(m, bool) for _ in range(3))
-        self.t_out, self.z_out = np.empty(m), np.empty((m, d))
+        self.x = np.zeros((m, d + 1))
+        # Coordinate rows, all initialized finite: the input (u, v, w),
+        # rotated in place into (s, d, w), so the tail (d, w) is rows
+        # 1..d; and the output (t, d, w), rotated in place into (u, v, w).
+        rows, result = np.zeros((d + 1, m)), np.zeros((d + 1, m))
+        scale, sq = np.zeros((d + 1, m)), np.zeros((d, m))
+        nz, tmp, abs_s, alpha = (np.zeros(m) for _ in range(4))
+        inside, nb, boundary, polar = (np.zeros(m, bool) for _ in range(4))
+        one, half = np.ones(m), np.full(m, 0.5)
+        sqrt2, zero = np.full((2, m), SQRT2), np.zeros((2, m))
+        s, tail = rows[0], rows[1:]
+        self.s, self.tail = s, tail.T
+        self.t_out, self.z_out = result[0], result[1:].T
+        add, subtract, multiply, divide = np.add, np.subtract, np.multiply, np.divide
+        sqrt, absolute, less_equal, maximum = np.sqrt, np.absolute, np.less_equal, np.maximum
+        logical_not, logical_xor, copyto = np.logical_not, np.logical_xor, np.copyto
+        sq0, sq_rest = sq[0], tuple(sq[1:])
+        u, v, uv = rows[0], rows[1], rows[:2]
+        u_out, v_out, uv_out = result[0], result[1], result[:2]
+        x_rows, out_rows = self.x.T, result.T
 
-    def standard(self) -> None:
-        """Project ``(s, tail)`` into ``(t_out, z_out)``."""
-        s, tail, nz, alpha = self.s, self.tail, self._nz, self._alpha
-        inside, polar, boundary = self._inside, self._polar, self._boundary
-        t_out, z_out = self.t_out, self.z_out
-        np.multiply(tail, tail, out=self._sq)
-        np.add.reduce(self._sq, axis=1, out=nz)
-        np.sqrt(nz, out=nz)
-        np.less_equal(nz, s, out=inside)
-        np.less_equal(nz, np.negative(s, out=self._neg), out=polar)
-        np.logical_not(np.logical_or(inside, polar, out=boundary), out=boundary)
-        # alpha only where a boundary row divides by a positive norm.
-        np.divide(s, nz, out=alpha, where=boundary)
-        np.add(alpha, 1.0, out=alpha, where=boundary)
-        np.multiply(alpha, 0.5, out=alpha, where=boundary)
-        t_out.fill(0.0)
-        np.multiply(alpha, nz, out=t_out, where=boundary)
-        np.copyto(t_out, s, where=inside)
-        z_out.fill(0.0)
-        np.multiply(alpha[:, None], tail, out=z_out, where=boundary[:, None])
-        np.copyto(z_out, tail, where=inside[:, None])
+        def standard():
+            """Project ``(s, tail)`` into ``(t_out, z_out)``, overwriting
+            ``s`` and ``tail``."""
+            multiply(tail, tail, out=sq)
+            total = sq0
+            for row in sq_rest:
+                total = add(total, row, out=nz)
+            sqrt(total, out=nz)
+            less_equal(nz, s, out=inside)
+            less_equal(nz, absolute(s, out=abs_s), out=nb)
+            logical_not(nb, out=boundary)
+            # Polar and not inside: the origin stays inside.
+            logical_xor(nb, inside, out=polar)
+            # alpha = (1 + s / nz) / 2 on boundary rows, where nz > |s| >= 0,
+            # and 1 elsewhere.
+            alpha[...] = one
+            divide(s, nz, out=alpha, where=boundary)
+            multiply(add(alpha, one, out=alpha), half, out=alpha)
+            # t = alpha * (s inside, nz on the boundary); tail = alpha * tail;
+            # both 0 on polar rows.
+            copyto(s, nz, where=boundary)
+            copyto(rows, 0.0, where=polar)
+            scale[...] = alpha
+            multiply(rows, scale, out=result)
 
-    def rotated(self, out: np.ndarray) -> np.ndarray:
-        """Project the rows of :attr:`x` onto the rotated cone into ``out``:
-        any float dtype, any shape of ``m`` rows in order (such as the
-        ``(K, m / K, d + 1)`` view of K stacked scenarios' cone blocks)."""
-        x, d, r = self.x, self.tail[:, 0], self._result
-        np.divide(np.add(x[:, 0], x[:, 1], out=self.s), SQRT2, out=self.s)
-        np.divide(np.subtract(x[:, 0], x[:, 1], out=d), SQRT2, out=d)
-        self.tail[:, 1:] = x[:, 2:]
-        self.standard()
-        s_p, d_p, u_p, v_p = self.t_out, self.z_out[:, 0], r[:, 0], r[:, 1]
-        np.divide(np.add(s_p, d_p, out=u_p), SQRT2, out=u_p)
-        np.divide(np.subtract(s_p, d_p, out=v_p), SQRT2, out=v_p)
-        # Clamp the tiny negative fuzz the rotation can leave behind.
-        np.maximum(r[:, :2], 0.0, out=r[:, :2])
-        r[:, 2:] = self.z_out[:, 1:]
-        np.copyto(out, r.reshape(out.shape))
-        return out
+        def rotated(out: np.ndarray) -> np.ndarray:
+            """Project the rows of :attr:`x` onto the rotated cone into ``out``:
+            any float dtype, any shape of ``m`` rows in order (such as the
+            ``(K, m / K, d + 1)`` view of K stacked scenarios' cone blocks)."""
+            rows[...] = x_rows
+            # (s, d) = (u + v, u - v) / sqrt(2), in place.
+            add(u, v, out=tmp)
+            subtract(u, v, out=v)
+            u[...] = tmp
+            divide(uv, sqrt2, out=uv)
+            standard()
+            # (u, v) = (t + d, t - d) / sqrt(2), in place.
+            add(u_out, v_out, out=tmp)
+            subtract(u_out, v_out, out=v_out)
+            u_out[...] = tmp
+            divide(uv_out, sqrt2, out=uv_out)
+            # Clamp the tiny negative fuzz the rotation can leave behind.
+            maximum(uv_out, zero, out=uv_out)
+            out[...] = out_rows.reshape(out.shape)
+            return out
+
+        self.standard, self.rotated = standard, rotated
 
 
 def project_soc_batch(t: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -136,7 +174,7 @@ def project_soc_batch(t: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndar
     kernel.standard()
     return (
         kernel.t_out.astype(out_dtype, copy=False),
-        kernel.z_out.astype(out_dtype, copy=False),
+        np.ascontiguousarray(kernel.z_out, dtype=out_dtype),
     )
 
 

@@ -195,20 +195,36 @@ class ConicSolverFreeADMM(ConsensusADMM):
         solver, cones = self.linear_solver, self.cones
         solve, rotated, v = solver.solve, cones.rotated, solver.v
         # Each scenario's linear and cone parts, as (K, ...) views of the
-        # fixed buffers; the iterates' views are taken per call.
+        # fixed buffers.
         lrm = ws.lam_rho.reshape(k_n, -1)
         lr_linear, lr_cones = lrm[:, :n_linear], lrm[:, n_linear:]
         v_linear, v_cones = v.reshape(k_n, n_linear), cones.x.reshape(k_n, -1)
 
+        def split(bx, z):
+            """``bx`` and ``z`` as each scenario's linear and cone parts.
+            Each scenario's cone block is a strided row of ``z``: (K, cones,
+            4) views it in place, where a flat (-1, 4) reshape would copy."""
+            bxm, zm = bx.reshape(k_n, -1), z.reshape(k_n, -1)
+            return (bx, z, bxm[:, :n_linear], zm[:, :n_linear], bxm[:, n_linear:],
+                    zm[:, n_linear:].reshape(k_n, -1, 4))
+
+        # The splits of the workspace's iterate sets, bound for this run:
+        # ws.bx and ws.z name one of them at every call of a loop.  Other
+        # arrays (a wrapped gather's, a public stage's) are split per call.
+        bound = [split(bx, z) for bx, z in ws.iterate_pairs()]
+
         def local_step(bx_eff, z_prev, lam, rho):
             z = ws.z
-            bxm, zm = bx_eff.reshape(k_n, -1), z.reshape(k_n, -1)
-            add(bxm[:, :n_linear], lr_linear, out=v_linear)
-            solve(v, out=zm[:, :n_linear])
-            add(bxm[:, n_linear:], lr_cones, out=v_cones)
-            # Each scenario's cone block is a strided row of zm: (K, cones,
-            # 4) views it in place, where a flat (-1, 4) reshape would copy.
-            rotated(zm[:, n_linear:].reshape(k_n, -1, 4))
+            for views in bound:
+                if views[0] is bx_eff and views[1] is z:
+                    break
+            else:
+                views = split(bx_eff, z)
+            _, _, bx_linear, z_linear, bx_cones, z_cones = views
+            add(bx_linear, lr_linear, out=v_linear)
+            solve(v, out=z_linear)
+            add(bx_cones, lr_cones, out=v_cones)
+            rotated(z_cones)
             return z
 
         return local_step

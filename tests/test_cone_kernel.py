@@ -6,19 +6,23 @@ closed-form projections.
 project_rotated_soc_batch` and the conic rung's local update.  On every
 input the previous functions (frozen below) accept, its finite entries
 must keep their bytes and its non-finite entries their positions:
-random rows, signed zeros, NaN and infinities, tiny (1e-300) and huge
-(1e150) magnitudes, and rows within rounding of the cone.
+random rows of any tail width, signed zeros, NaN and infinities, tiny
+(1e-300) and huge (1e150) magnitudes, and rows within rounding of the
+cone.  Its norm sums the squares in the order ``np.linalg.norm`` reduces
+them on the NumPy that runs, so the fuzz is also the guard of that order.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.backend import default_backend
+from repro.core import ADMMConfig
 from repro.feeders import ieee13
 from repro.methods import Method, build_method_problem, make_method_solver
+from repro.serve import OPFRequest, TopologyPlan
 from repro.socp import project_rotated_soc_batch, project_soc_batch
 from repro.socp.cone import ConeKernel
 
@@ -86,17 +90,31 @@ ENTRY = st.one_of(
 
 
 @st.composite
-def rotated_rows(draw):
-    """``(m, 4)`` rows ``(u, v, w1, w2)``: arbitrary entries, plus rows
-    on the rotated cone up to a relative perturbation of about 1e-15."""
-    m = draw(st.integers(1, 12))
-    rows = draw(arrays(np.float64, (m, 4), elements=ENTRY))
-    for k in draw(st.lists(st.integers(0, m - 1), max_size=m)):
+def rotated_rows(draw, widths=st.just(2)):
+    """``(m, 2 + k)`` rows ``(u, v, w_1 .. w_k)``, ``k`` drawn from
+    ``widths``: arbitrary entries, plus rows on the rotated cone up to a
+    relative perturbation of about 1e-15."""
+    m, k = draw(st.integers(1, 12)), draw(widths)
+    rows = draw(arrays(np.float64, (m, 2 + k), elements=ENTRY))
+    for i in draw(st.lists(st.integers(0, m - 1), max_size=m)):
         u, v = draw(st.floats(1e-6, 10)), draw(st.floats(1e-6, 10))
-        angle = draw(st.floats(0, 2 * np.pi))
+        direction = np.array([draw(st.floats(-1, 1)) for _ in range(k)])
+        length = np.linalg.norm(direction)
+        if length < 1e-3:
+            continue
         radius = np.sqrt(2 * u * v) * (1 + draw(st.floats(-4e-15, 4e-15)))
-        rows[k] = u, v, radius * np.cos(angle), radius * np.sin(angle)
+        rows[i] = u, v, *(radius * direction / length)
     return rows
+
+
+#: Rows the fuzz must always try, as ``(u, v, w_1 .. w_k)``.
+ORIGIN = np.array([[-0.0, -0.0, -0.0, -0.0]])
+#: ``||tail|| = inf <= -s``: polar, where a scale of 0 would make 0 * inf = NaN.
+POLAR_INF_TAIL = np.array([[-np.inf, 1.0, np.inf, 2.0], [-3.0, 1.0, 0.5, -0.25]])
+#: NaN in the tail only, beside an inside and a boundary row.
+NAN_TAIL = np.array([[1.0, 2.0, np.nan, 0.5], [2.0, 3.0, 0.5, -1.0], [1.0, 1.0, 3.0, 4.0]])
+#: One row.
+ONE_ROW = np.array([[0.3, 0.2, 1.5]])
 
 
 def assert_same(got, want):
@@ -109,8 +127,13 @@ def assert_same(got, want):
 
 
 class TestFuzz:
-    @settings(max_examples=400, deadline=None)
-    @given(rotated_rows(), st.sampled_from([np.float64, np.float32]))
+    # 400 examples per tail width: the solver's width 2 keeps its budget.
+    @settings(max_examples=1200, deadline=None)
+    @given(rotated_rows(st.integers(1, 3)), st.sampled_from([np.float64, np.float32]))
+    @example(ORIGIN, np.float64)
+    @example(POLAR_INF_TAIL, np.float64)
+    @example(NAN_TAIL, np.float32)
+    @example(ONE_ROW, np.float64)
     def test_rotated_batch(self, rows, dtype):
         with np.errstate(all="ignore"):
             rows = rows.astype(dtype)
@@ -121,6 +144,10 @@ class TestFuzz:
 
     @settings(max_examples=200, deadline=None)
     @given(rotated_rows(), st.integers(1, 3))
+    @example(ORIGIN, 3)
+    @example(POLAR_INF_TAIL, 3)
+    @example(NAN_TAIL, 2)
+    @example(ONE_ROW, 2)
     def test_standard_batch(self, rows, d):
         with np.errstate(all="ignore"):
             got = project_soc_batch(rows[:, 0], rows[:, 1 : 1 + d])
@@ -154,6 +181,48 @@ class TestInPlace:
         kernel.rotated(z[:, 10:].reshape(k_n, cones, 4))
         assert (z[:, :10] == 7.0).all()
         assert z[:, 10:].tobytes() == want.astype(np.float32).reshape(k_n, -1).tobytes()
+
+    def test_any_output_shape(self):
+        """The result reaches ``out`` in any shape of ``m`` rows in order,
+        also one the rows cannot be viewed as (a flat vector)."""
+        rng = np.random.default_rng(1)
+        kernel = ConeKernel(6, 3)
+        for shape in [(6, 4), (24,), (6, 4), (24,), (2, 3, 4)]:
+            kernel.x[...] = rng.standard_normal((6, 4))
+            u, v, w = parent_project_rotated_soc_batch(
+                kernel.x[:, 0], kernel.x[:, 1], kernel.x[:, 2:]
+            )
+            want = np.concatenate([u[:, None], v[:, None], w], axis=1)
+            got = kernel.rotated(np.empty(shape))
+            assert got.tobytes() == want.tobytes()
+
+
+class TestStackedScenarios:
+    """K stacked socp scenarios share one cone kernel call per iteration,
+    each scenario's cones a strided row block of it: no scenario may see
+    another's values."""
+
+    @pytest.mark.parametrize("backend", ["numpy64", "numpy32"])
+    def test_stack_of_three_equals_three_stacks_of_one(self, backend):
+        plan = TopologyPlan("ieee13", method="socp")
+        scenarios = [
+            plan.build_scenario(OPFRequest(request_id=f"s{k}", load_scale=scale))
+            for k, scale in enumerate([0.97, 1.00, 1.03])
+        ]
+        config = ADMMConfig(eps_rel=1e-12, max_iter=300, raise_on_max_iter=False)
+
+        def solve(group):
+            return make_method_solver(plan.stacked(group), config, backend=backend).solve()
+
+        stacked = solve(scenarios)
+        assert stacked.iterations == 300
+        for k, scenario in enumerate(scenarios):
+            alone = solve([scenario])
+            for name in ("x", "z", "lam"):
+                part = np.split(np.asarray(getattr(stacked, name)), len(scenarios))[k]
+                want = np.asarray(getattr(alone, name))
+                assert part.dtype == want.dtype
+                assert part.tobytes() == want.tobytes(), (k, name)
 
 
 @pytest.mark.skipif(

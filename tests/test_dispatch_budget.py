@@ -15,7 +15,10 @@ cancel), with the garbage collector off:
 
 Both repeat exactly from run to run.  The Python budget is what prebound
 steps reach; the C budget is what the per-call hooks they replaced made
-(33 / 65.895 / 38 Python calls there, linearized / qp / socp).
+(33 / 65.895 / 38 Python calls there, linearized / qp / socp).  The socp
+budgets are what the structure-of-arrays cone kernel and the local step's
+views, bound once per iterate set, reach: 16 Python and 29 C calls
+(17 and 36 under the previous kernel).
 """
 
 import gc
@@ -32,15 +35,15 @@ METHODS = ["linearized", "qp", "socp"]
 BACKENDS = ["numpy64", "numpy32"]
 
 #: Python calls per iteration, by method (the same under both backends).
-PYTHON_CALLS = {"linearized": 12.0, "qp": 50.895, "socp": 17.0}
+PYTHON_CALLS = {"linearized": 12.0, "qp": 50.895, "socp": 16.0}
 #: C calls per iteration, by (backend, method).
 C_CALLS = {
     ("numpy64", "linearized"): 29.0,
     ("numpy64", "qp"): 76.44,
-    ("numpy64", "socp"): 40.0,
+    ("numpy64", "socp"): 29.0,
     ("numpy32", "linearized"): 31.0,
     ("numpy32", "qp"): 78.44,
-    ("numpy32", "socp"): 39.0,
+    ("numpy32", "socp"): 29.0,
 }
 
 PACKAGE = os.path.dirname(repro.__file__)
