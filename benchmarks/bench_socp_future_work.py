@@ -15,6 +15,10 @@ from _common import format_table, get_net, report
 from repro.core import ADMMConfig
 from repro.socp import ConicSolverFreeADMM, build_bfm_socp, decompose_conic
 
+#: Solves timed per feeder; us/iter is the fastest, so one slow run on a
+#: busy host cannot move it.
+SOLVE_REPEATS = 3
+
 
 def test_socp_report(benchmark):
     rows = []
@@ -25,9 +29,14 @@ def test_socp_report(benchmark):
         solver = ConicSolverFreeADMM(
             dec, ADMMConfig(eps_rel=1e-4, max_iter=300_000, record_history=False)
         )
-        t0 = time.perf_counter()
-        res = solver.solve()
-        wall = time.perf_counter() - t0
+        walls, iterations = [], set()
+        for _ in range(SOLVE_REPEATS):
+            t0 = time.perf_counter()
+            res = solver.solve()
+            walls.append(time.perf_counter() - t0)
+            iterations.add(res.iterations)
+        assert len(iterations) == 1, iterations  # every solve runs the same trajectory
+        wall = min(walls)
         a, b = prob.linear_system()
         linviol = float(np.abs(a @ res.x - b).max())
         coneviol = prob.cone_violation(res.x)

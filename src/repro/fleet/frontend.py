@@ -3,8 +3,8 @@
 :class:`FleetFrontend` is the single submission surface of a horizontally
 sharded serving fleet.  Each request is routed by the consistent-hash
 ring (:mod:`repro.fleet.routing`) on its ``topology_key()``, so all
-requests for one feeder land on one worker and that worker's projection
-and warm-start caches stay hot.  Around the ring sit the resilience
+requests for one feeder land on one worker and that worker's plan
+and warm-start cache stay hot.  Around the ring sit the resilience
 pieces reused from :mod:`repro.resilience`:
 
 * a per-worker :class:`~repro.resilience.CircuitBreaker` — a worker that
@@ -599,9 +599,10 @@ class FleetFrontend:
         For each owned topology key the donor is the next *alive* worker
         in the key's ring preference — exactly where failover sent that
         key's traffic during the outage, so the donor holds the freshest
-        projections and warm-start states.  Returns aggregate counts.
+        warm-start states.  The worker builds each key's plan itself.
+        Returns aggregate counts.
         """
-        counts = {"topologies": 0, "projections": 0, "warm_entries": 0}
+        counts = {"topologies": 0, "warm_entries": 0}
         donors: dict[str, set[str]] = {}
         for key in sorted(self.owned_topologies(worker_id)):
             for cand in self.ring.preference(key):
@@ -624,7 +625,7 @@ class FleetFrontend:
         """Copy warm state for ``keys`` from one live worker to another
         (the graceful-drain path: the leaving worker is the donor)."""
         if not keys:
-            return {"topologies": 0, "projections": 0, "warm_entries": 0}
+            return {"topologies": 0, "warm_entries": 0}
         payload = self._control(from_wid, CTRL_EXPORT, set(keys))
         return self._control(to_wid, CTRL_IMPORT, payload)
 

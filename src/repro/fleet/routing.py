@@ -2,7 +2,7 @@
 
 The fleet's whole performance story rests on *cache affinity*: a
 :class:`~repro.serve.engine.TopologyPlan` (partition, row reduction,
-projection factorizations) and the warm-start cache are per-worker state,
+base projections) and the warm-start cache are per-worker state,
 so every request for a given topology should land on the same worker.  A
 plain ``hash(key) % n_workers`` would do that — until a worker dies and
 every topology's assignment shuffles at once, cold-starting every cache

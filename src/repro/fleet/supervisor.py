@@ -356,7 +356,7 @@ class FleetSupervisor:
                     # Died mid-drain: failover already rerouted its work;
                     # nothing left to hand off from the corpse.
                     break
-            handoff = {"topologies": 0, "projections": 0, "warm_entries": 0}
+            handoff = {"topologies": 0, "warm_entries": 0}
             if fe._alive(worker_id) and owned:
                 by_target: dict[str, set[str]] = {}
                 for key in sorted(owned):

@@ -4,16 +4,16 @@ Two layers:
 
 :class:`TopologyPlan`
     Everything computable *once per topology*: the base network, the
-    assembled LP, the partition/row-ownership map of Section V-A, and a
-    content-addressed **projection cache**.  A scenario perturbs load
-    references (which changes some components' local systems ``A_s x = b_s``)
-    and generator bounds (which changes nothing but the box (9d)).  On the
-    LP rungs the plan builds a scenario parametrically, as the paper
-    computes each projection once (Section V-A): it writes the touched
-    loads' consumption rows and generators' bounds into copies of its base
-    arrays and re-factorizes *only* the components those loads sit in —
-    line components, unloaded buses and repeated multipliers all reuse
-    cached ``(M_s, bbar_s)`` projections (15b)-(15c).
+    assembled LP, the partition/row-ownership map of Section V-A, and one
+    **base projection** ``(M_s, bbar_s)`` (15b)-(15c) per component, as
+    the paper computes each projection once (Algorithm 1, lines 2-3).  A
+    scenario perturbs load references (which changes some components'
+    local systems ``A_s x = b_s``) and generator bounds (which changes
+    nothing but the box (9d)).  On the LP rungs the plan builds a scenario
+    parametrically: it writes the touched loads' consumption rows and
+    generators' bounds into copies of its base arrays and re-factorizes
+    *only* the components those loads sit in, keeping nothing — line
+    components and unloaded buses take their base projections.
 
 :class:`ScenarioEngine`
     The serving loop: bounded-queue submission (backpressure), same-topology
@@ -33,7 +33,6 @@ Two layers:
 from __future__ import annotations
 
 import copy
-import hashlib
 import math
 import time
 from dataclasses import dataclass, replace
@@ -140,36 +139,42 @@ class _LoadRow:
     cells: dict  # variable key -> (CSR data slot, local column)
 
 
-def _digest(a_raw: np.ndarray, b_raw: np.ndarray) -> bytes:
-    """Content address of a component's raw local system."""
-    return hashlib.sha256(a_raw.tobytes() + b_raw.tobytes()).digest()
-
-
 class TopologyPlan:
     """Precomputed, shareable solve structure for one (topology, method) key.
 
     The plan's identity is the request's :meth:`~repro.serve.requests.
     OPFRequest.topology_key`, which hashes the feeder *and* the method —
     each fidelity rung builds a different decomposition of the same
-    network, and their caches must never mix (a linearized projection
+    network, and their local data must never mix (a linearized projection
     plan is meaningless to the conic layout).
 
-    * ``linearized`` / ``qp`` share the LP (7) decomposition; the
-      content-addressed cache stores ``(M, bbar)`` batched projections
-      for the former and the reduced ``(A, b)`` systems for the latter
-      (the box-QP projection needs the explicit rows).  These plans build
-      a scenario **parametrically**: at plan time they record where each
+    Each component's **base local data** is taken once from the plan's own
+    decomposition: ``(M, bbar)`` batched projections on ``linearized`` and
+    on ``socp``'s linear components, the reduced ``(A, b)`` rows on ``qp``
+    (the box-QP projection needs the explicit rows).  A scenario takes a
+    component's base pair whenever its raw system ``(A_raw, b_raw)`` is
+    the base's byte for byte, and otherwise factorizes it afresh and
+    keeps nothing, so a plan holds one pair per component however many
+    requests it serves.  :attr:`factorizations_computed` and
+    :attr:`factorizations_reused` count those two outcomes per component
+    and request.
+
+    * ``linearized`` / ``qp`` share the LP (7) decomposition and build a
+      scenario **parametrically**: at plan time they record where each
       load's ZIP consumption rows sit in the base LP (CSR data slots,
-      ``b`` entries, component raw-system cells), each generator's ``pg``
-      columns and each component's digest, and mark those base arrays
-      read-only.  A request then writes its touched loads' regenerated
-      rows and its generators' bounds into copies, and hashes and
-      re-reduces only the components those loads sit in.
+      ``b`` entries, component raw-system cells) and each generator's
+      ``pg`` columns.  A request then writes its touched loads'
+      regenerated rows and its generators' bounds into copies, and
+      compares and re-reduces only the components those loads sit in.
     * ``socp`` builds the branch-flow conic model: linear components plus
-      width-4 cone blocks, with the same content-addressed caching over
-      the linear components (cone projections have no factorization).
-      Its bus balance rows sum every load at a bus, so a load owns no
-      entry of its own and each scenario rebuilds the model.
+      width-4 cone blocks (cone projections have no factorization).  Its
+      bus balance rows sum every load at a bus, so a load owns no entry
+      of its own: each scenario rebuilds the model and compares every
+      linear component's raw system with the base's, recorded at plan
+      build.
+
+    The base arrays every scenario shares (the LP's, the raw systems and
+    the base local data) are read-only.
     """
 
     def __init__(self, feeder: str, method: str = "linearized"):
@@ -196,15 +201,18 @@ class TopologyPlan:
                     self._owner_to_spec[owner] = idx
             local_comps = dec.components
         self._local_keys = [c.local_keys for c in local_comps]
-        # Content-addressed projection cache: (component, digest of the raw
-        # local system) -> the method's cached pair.  Shared across every
-        # scenario served on this (topology, method) plan.
-        self._projections: dict[tuple[int, bytes], tuple[np.ndarray, np.ndarray]] = {}
-        self._rref_tol = 1e-9
+        if self.method == "socp":
+            self._base_raw = self._conic_systems(self.problem.conic)
+        else:
+            self._base_raw = [(c.a_raw, c.b_raw) for c in local_comps]
+            self._record_base()
+        #: Each component's base local data, shared by every scenario.
+        self.base_local = [self._method_pair(c.a, c.b) for c in local_comps]
+        for pair in self._base_raw + self.base_local:
+            for arr in pair:
+                arr.flags.writeable = False
         self.factorizations_computed = 0
         self.factorizations_reused = 0
-        if self.method != "socp":
-            self._record_base()
 
     def _record_base(self) -> None:
         """Record where the request-dependent entries of the base LP sit."""
@@ -238,11 +246,9 @@ class TopologyPlan:
             for name, gen in self.net.generators.items()
         }
         self._x0 = lp.initial_point()
-        self._base_digests = [_digest(c.a_raw, c.b_raw) for c in comps]
         # Every scenario shares these (or writes copies): freeze them so a
         # stray in-place write fails loudly instead of corrupting the plan.
-        base = [a.data, a.indices, a.indptr, lp.b_vector, lp.cost, lp.lb, lp.ub, self._x0]
-        for arr in base + [x for c in comps for x in (c.a_raw, c.b_raw)]:
+        for arr in (a.data, a.indices, a.indptr, lp.b_vector, lp.cost, lp.lb, lp.ub, self._x0):
             arr.flags.writeable = False
 
     # ------------------------------------------------------------------
@@ -312,7 +318,7 @@ class TopologyPlan:
         return np.concatenate(parts) if parts else np.zeros(0)
 
     def build_scenario(self, request: OPFRequest) -> ScenarioProblem:
-        """Assemble one scenario, reusing cached factorizations.
+        """Assemble one scenario on the plan's base local data.
 
         Raises
         ------
@@ -324,15 +330,10 @@ class TopologyPlan:
         if self.method == "socp":
             return self._rebuilt_conic_scenario(request, net)
         lp, systems = self._scenario_lp(net, loads, gens)
-        projections = []
-        for s, comp in enumerate(self.dec.components):
-            system = systems.get(s)
-            if system is None:
-                projections.append(
-                    self._projection(s, self._base_digests[s], comp.a_raw, comp.b_raw)
-                )
-            else:
-                projections.append(self._projection(s, _digest(*system), *system))
+        projections = list(self.base_local)
+        self.factorizations_reused += len(projections) - len(systems)
+        for s, system in systems.items():
+            projections[s] = self._local_data(s, *system)
         return ScenarioProblem(
             request=request,
             cost=lp.cost,
@@ -405,13 +406,10 @@ class TopologyPlan:
         model = build_bfm_socp(net, **METHOD_SPECS[Method.SOCP].build_kwargs)
         if model.n_vars != self.n_vars:
             raise ValueError("scenario changed the variable space (topology?)")
-        rows_by_spec: list[list] = [[] for _ in self._local_keys]
-        for row in model.rows:
-            rows_by_spec[self._owner_to_spec[row.owner]].append(row)
-        projections = []
-        for s, rows in enumerate(rows_by_spec):
-            a_raw, b_raw = rows_to_dense_local(rows, self._local_keys[s])
-            projections.append(self._projection(s, _digest(a_raw, b_raw), a_raw, b_raw))
+        projections = [
+            self._local_data(s, *system)
+            for s, system in enumerate(self._conic_systems(model))
+        ]
         return ScenarioProblem(
             request=request,
             cost=model.cost,
@@ -423,34 +421,42 @@ class TopologyPlan:
             conic=model,
         )
 
-    def _projection(
-        self, s: int, digest: bytes, a_raw: np.ndarray, b_raw: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Component ``s``'s cached pair for the raw system of ``digest``.
+    def _conic_systems(self, model) -> list[tuple[np.ndarray, np.ndarray]]:
+        """The raw systems of a conic model's linear components: its rows
+        grouped by the base partition's owners, densified on the base
+        components' local keys."""
+        rows_by_spec: list[list] = [[] for _ in self._local_keys]
+        for row in model.rows:
+            rows_by_spec[self._owner_to_spec[row.owner]].append(row)
+        return [
+            rows_to_dense_local(rows, keys)
+            for rows, keys in zip(rows_by_spec, self._local_keys)
+        ]
 
-        The cached pair is method-specific — ``(M, bbar)`` batched
-        projections for ``linearized``/``socp`` linear components, the
-        reduced ``(A, b)`` rows for ``qp`` — but the content-addressing
-        (raw system bytes) and the hit accounting are identical.
-        """
-        cached = self._projections.get((s, digest))
-        if cached is None:
-            a_red, b_red, _ = reduced_row_echelon(a_raw, b_raw, tol=self._rref_tol)
-            if self.method == "qp":
-                cached = (a_red, b_red)
-            else:
-                cached = projection_data(a_red, b_red)
-            self._projections[(s, digest)] = cached
-            self.factorizations_computed += 1
-        else:
+    def _local_data(
+        self, s: int, a_raw: np.ndarray, b_raw: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Component ``s``'s local pair for the raw system ``(a_raw, b_raw)``:
+        the base pair when the system is the base's byte for byte, else a
+        fresh one that the plan does not keep."""
+        base_a, base_b = self._base_raw[s]
+        if a_raw.tobytes() == base_a.tobytes() and b_raw.tobytes() == base_b.tobytes():
             self.factorizations_reused += 1
-        return cached
+            return self.base_local[s]
+        self.factorizations_computed += 1
+        a_red, b_red, _ = reduced_row_echelon(a_raw, b_raw)
+        return self._method_pair(a_red, b_red)
+
+    def _method_pair(self, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The method's local data of a reduced system: its ``(M, bbar)``
+        projection, or on ``qp`` the rows themselves."""
+        return (a, b) if self.method == "qp" else projection_data(a, b)
 
     def stacked(self, problems: list[ScenarioProblem]) -> MethodProblem:
         """The K scenarios as one problem of this plan's method: a
         :class:`~repro.core.consensus.ScenarioStack` over the plan's
-        decomposition, each scenario carrying its cached local data and
-        its own rho."""
+        decomposition, each scenario carrying its local data and its own
+        rho."""
         stack = ScenarioStack(
             self.dec,
             cost=[p.cost for p in problems],
@@ -461,35 +467,6 @@ class TopologyPlan:
             rho=np.array([p.request.options.rho for p in problems]),
         )
         return MethodProblem(self.problem.method, self.net, dec=stack)
-
-    def export_projections(self) -> list[tuple[int, bytes, np.ndarray, np.ndarray]]:
-        """Content-addressed cache entries as ``(component, digest, M, bbar)``.
-
-        Deterministic order (component index, then digest) so a handoff
-        payload built from the same cache state is bit-identical.
-        """
-        return [
-            (s, digest, m, bbar)
-            for (s, digest), (m, bbar) in sorted(
-                self._projections.items(), key=lambda kv: (kv[0][0], kv[0][1])
-            )
-        ]
-
-    def import_projections(
-        self, items: list[tuple[int, bytes, np.ndarray, np.ndarray]]
-    ) -> int:
-        """Seed the projection cache from an export; returns entries added.
-
-        Existing entries win (they are content-addressed, so a collision is
-        the same factorization anyway) and do not count as reuse — the
-        reuse counters keep measuring *serving* behaviour, not handoff.
-        """
-        added = 0
-        for s, digest, m, bbar in items:
-            if (s, digest) not in self._projections:
-                self._projections[(s, digest)] = (m, bbar)
-                added += 1
-        return added
 
 
 @dataclass
@@ -835,19 +812,15 @@ class ScenarioEngine:
     def export_topology_state(self, topology_keys: set[str] | None = None) -> dict:
         """Snapshot cached warm state for the given topologies.
 
-        Returns a pickle-safe payload: per-topology feeder names plus the
-        content-addressed projection entries, and the warm-start cache
-        entries.  ``None`` exports every topology this engine has planned.
+        Returns a pickle-safe payload: each topology's feeder and method,
+        and the warm-start cache entries.  ``None`` exports every topology
+        this engine has planned.
         """
-        plans = {}
-        for key, plan in self.plans.items():
-            if topology_keys is not None and key not in topology_keys:
-                continue
-            plans[key] = {
-                "feeder": plan.feeder,
-                "method": plan.method,
-                "projections": plan.export_projections(),
-            }
+        plans = {
+            key: {"feeder": plan.feeder, "method": plan.method}
+            for key, plan in self.plans.items()
+            if topology_keys is None or key in topology_keys
+        }
         return {
             "plans": plans,
             "warm_entries": self.cache.export_topology(topology_keys),
@@ -856,27 +829,22 @@ class ScenarioEngine:
     def import_topology_state(self, payload: dict) -> dict:
         """Install an exported warm-state payload into this engine.
 
-        Rebuilds each topology's :class:`TopologyPlan` if absent (the plan
-        structure is a pure function of the feeder), seeds its projection
-        cache, and stores the warm-start entries through the normal LRU
+        Builds each topology's :class:`TopologyPlan` if absent (the plan,
+        base projections included, is a pure function of the feeder and
+        method) and stores the warm-start entries through the normal LRU
         path.  Returns counts for telemetry.
         """
-        projections = 0
         for key, item in payload.get("plans", {}).items():
-            plan = self.plans.get(key)
-            if plan is None:
+            if key not in self.plans:
                 with self.timers.measure("plan"):
-                    plan = TopologyPlan(
+                    self.plans[key] = TopologyPlan(
                         item["feeder"], method=item.get("method", "linearized")
                     )
-                self.plans[key] = plan
-            projections += plan.import_projections(item["projections"])
         warm_entries = payload.get("warm_entries", [])
         if self.warm_start:
             self.cache.import_entries(warm_entries)
         return {
             "topologies": len(payload.get("plans", {})),
-            "projections": projections,
             "warm_entries": len(warm_entries) if self.warm_start else 0,
         }
 

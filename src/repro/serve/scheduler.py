@@ -89,12 +89,6 @@ class BoundedRequestQueue:
     def peek(self) -> OPFRequest | None:
         return self._items[0] if self._items else None
 
-    def drain_all(self) -> list[OPFRequest]:
-        """Remove and return everything waiting (fleet failover recovery)."""
-        items = list(self._items)
-        self._items.clear()
-        return items
-
     def requeue_front(self, requests: list[OPFRequest]) -> None:
         """Put ``requests`` back at the head of the queue, preserving their
         relative order — used to restore an in-flight batch that was taken

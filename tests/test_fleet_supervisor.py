@@ -79,19 +79,18 @@ class TestWarmStateHandoff:
         assert all(r.status == STATUS_CONVERGED for r in src.serve(reqs))
         key = reqs[0].topology_key()
         payload = src.export_topology_state({key})
-        assert payload["plans"][key]["feeder"] == "ieee13"
-        assert payload["plans"][key]["projections"]
+        assert payload["plans"][key] == {"feeder": "ieee13", "method": "linearized"}
         assert payload["warm_entries"]
 
         dst = ScenarioEngine(max_batch=4)
         counts = dst.import_topology_state(payload)
-        assert counts["topologies"] == 1
-        assert counts["projections"] == len(payload["plans"][key]["projections"])
-        assert counts["warm_entries"] == len(payload["warm_entries"])
-        # The imported plan reuses every handed-off factorization: serving
-        # the same scenarios computes nothing new.
-        dst.serve([OPFRequest(request_id="b0", feeder="ieee13", load_scale=1.0)])
+        assert counts == {"topologies": 1, "warm_entries": len(payload["warm_entries"])}
+        # The imported plan built its own base projections, byte for byte
+        # the source's: serving an unperturbed scenario computes nothing.
         plan = dst.plans[key]
+        for got, want in zip(plan.base_local, src.plans[key].base_local, strict=True):
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+        dst.serve([OPFRequest(request_id="b0", feeder="ieee13", load_scale=1.0)])
         assert plan.factorizations_computed == 0
         assert plan.factorizations_reused > 0
 
@@ -246,10 +245,14 @@ class TestRewarm:
         assert sum(r.warm_started for r in wave2) < len(wave2)
         assert "fleet.rewarm.topologies" not in fleet.metrics.snapshot()
 
-    def test_rewarm_replays_projections_not_just_warm_states(self):
+    def test_rewarm_rebuilds_the_plan_and_its_base(self):
         fleet, _ = self._run(rewarm=True)
-        plan = next(iter(fleet.workers["w1"].engine.plans.values()))
-        # Wave 2 on the rewarmed worker reused handed-off factorizations.
+        (key, plan), = fleet.workers["w1"].engine.plans.items()
+        donor = fleet.workers["w0"].engine.plans[key]
+        # The handoff carries no projections: the rewarmed worker built its
+        # plan's base itself, byte for byte the donor's, and wave 2 took it.
+        for got, want in zip(plan.base_local, donor.base_local, strict=True):
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
         assert plan.factorizations_reused > 0
 
 

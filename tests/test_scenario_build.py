@@ -1,17 +1,18 @@
-"""The parametric scenario build of linearized/qp serving plans.
+"""The scenario build of serving plans.
 
-``TopologyPlan.build_scenario`` writes a request's load rows and generator
-bounds into copies of the plan's base LP and re-reduces only the touched
-components.  These tests hold it, byte for byte, to the full rebuild it
-replaced (:class:`RebuildPlan`: perturbed deep copy of the network,
-``build_centralized_lp``, ``rows_to_dense_local`` of every component), and
-hold the faster row reduction and projection to frozen copies of the
-implementations they replaced.
+On the LP rungs ``TopologyPlan.build_scenario`` writes a request's load
+rows and generator bounds into copies of the plan's base LP and re-reduces
+only the touched components; on socp it rebuilds the branch-flow model and
+re-reduces the components whose raw systems left the base.  These tests
+hold both, byte for byte, to a full rebuild (:class:`RebuildPlan`:
+perturbed deep copy of the network, ``build_centralized_lp`` or
+``build_bfm_socp``, ``rows_to_dense_local`` of every component), hold the
+plan to one local-data pair per component however many requests it
+serves, and hold the faster row reduction and projection to frozen copies
+of the implementations they replaced.
 """
 
 from __future__ import annotations
-
-import hashlib
 
 import numpy as np
 import pytest
@@ -26,11 +27,14 @@ from repro.decomposition.rowreduce import reduced_row_echelon
 from repro.formulation import build_centralized_lp
 from repro.formulation.rows import rows_to_dense_local
 from repro.io.resolve import resolve_feeder
+from repro.methods.facade import METHOD_SPECS, Method
 from repro.serve import OPFRequest, ScenarioEngine, SolveOptions, TopologyPlan
+from repro.socp import build_bfm_socp
 from repro.utils.exceptions import DecompositionError, InfeasibleError
 
 FEEDERS = ("ieee13", "ieee13-der", "synthetic:20:4")
 LP_METHODS = ("linearized", "qp")
+METHODS = LP_METHODS + ("socp",)
 
 
 # -- frozen reference implementations ------------------------------------------
@@ -97,7 +101,12 @@ def reference_projection_data(a, b):
 
 class RebuildPlan:
     """A serving plan that rebuilds every scenario from scratch, as
-    ``TopologyPlan.build_scenario`` did before the parametric build."""
+    ``TopologyPlan.build_scenario`` did before the parametric build.
+
+    A component whose raw system is the base's byte for byte takes the
+    base's local data and counts as reused; any other is factorized afresh
+    and counts as computed.
+    """
 
     def __init__(self, feeder: str, method: str):
         self.method = method
@@ -106,9 +115,35 @@ class RebuildPlan:
         self.n_vars = plan.n_vars
         self.owner_to_spec = plan._owner_to_spec
         self.local_keys = plan._local_keys
-        self.cache: dict = {}
+        self.base_raw = self.raw_systems(self.model(self.net))
+        self.base_local = [self.factorize(*system) for system in self.base_raw]
         self.factorizations_computed = 0
         self.factorizations_reused = 0
+
+    def model(self, net):
+        if self.method == "socp":
+            return build_bfm_socp(net, **METHOD_SPECS[Method.SOCP].build_kwargs)
+        return build_centralized_lp(net)
+
+    def raw_systems(self, model):
+        """Every component's raw system: the model's rows grouped by owner."""
+        rows_by_spec = [[] for _ in self.local_keys]
+        for row in model.rows:
+            rows_by_spec[self.owner_to_spec[row.owner]].append(row)
+        return [
+            rows_to_dense_local(rows, keys)
+            for rows, keys in zip(rows_by_spec, self.local_keys)
+        ]
+
+    def factorize(self, a_raw, b_raw):
+        a_red, b_red, _ = reference_row_echelon(a_raw, b_raw)
+        if self.method == "qp":
+            return a_red, b_red
+        return reference_projection_data(a_red, b_red)
+
+    def is_base(self, s, a_raw, b_raw):
+        base_a, base_b = self.base_raw[s]
+        return a_raw.tobytes() == base_a.tobytes() and b_raw.tobytes() == base_b.tobytes()
 
     def perturbed_network(self, request):
         net = self.net.copy()
@@ -142,33 +177,22 @@ class RebuildPlan:
 
     def build(self, request):
         net = self.perturbed_network(request)
-        lp = build_centralized_lp(net)
-        assert lp.n_vars == self.n_vars
-        rows_by_spec = [[] for _ in self.local_keys]
-        for row in lp.rows:
-            rows_by_spec[self.owner_to_spec[row.owner]].append(row)
+        model = self.model(net)
+        assert model.n_vars == self.n_vars
         projections = []
-        for s, rows in enumerate(rows_by_spec):
-            a_raw, b_raw = rows_to_dense_local(rows, self.local_keys[s])
-            digest = hashlib.sha256(a_raw.tobytes() + b_raw.tobytes()).digest()
-            cached = self.cache.get((s, digest))
-            if cached is None:
-                a_red, b_red, _ = reference_row_echelon(a_raw, b_raw)
-                if self.method == "qp":
-                    cached = (a_red, b_red)
-                else:
-                    cached = reference_projection_data(a_red, b_red)
-                self.cache[(s, digest)] = cached
-                self.factorizations_computed += 1
-            else:
+        for s, system in enumerate(self.raw_systems(model)):
+            if self.is_base(s, *system):
                 self.factorizations_reused += 1
-            projections.append(cached)
+                projections.append(self.base_local[s])
+            else:
+                self.factorizations_computed += 1
+                projections.append(self.factorize(*system))
         signature = np.concatenate(
             [getattr(net.loads[n], f) for n in sorted(net.loads) for f in ("p_ref", "q_ref")]
             + [getattr(net.generators[n], f) for n in sorted(net.generators)
                for f in ("p_min", "p_max")]
         )
-        return lp, projections, signature
+        return model, projections, signature
 
 
 # -- byte-level comparison -----------------------------------------------------
@@ -193,8 +217,7 @@ def row_record(row):
 
 
 def assert_same_scenario(plan, scenario, rebuild, reference):
-    lp, projections, signature = reference
-    assert scenario.conic is None
+    lp, projections, signature = reference  # the model: LP, or conic on socp
     assert_same_array(scenario.cost, lp.cost, "cost")
     assert_same_array(scenario.lb, lp.lb, "lb")
     assert_same_array(scenario.ub, lp.ub, "ub")
@@ -204,13 +227,18 @@ def assert_same_scenario(plan, scenario, rebuild, reference):
     for s, (got, want) in enumerate(zip(scenario.projections, projections)):
         assert_same_array(got[0], want[0], f"projection {s} matrix")
         assert_same_array(got[1], want[1], f"projection {s} vector")
-    got_lp = scenario.lp
-    for part in ("indptr", "indices", "data"):
-        assert_same_array(
-            getattr(got_lp.a_matrix, part), getattr(lp.a_matrix, part), f"A {part}"
-        )
-    assert got_lp.a_matrix.shape == lp.a_matrix.shape
-    assert_same_array(got_lp.b_vector, lp.b_vector, "b")
+    got_lp = scenario.model
+    if plan.method == "socp":
+        assert scenario.lp is None
+        assert got_lp.cones == lp.cones
+    else:
+        assert scenario.conic is None
+        for part in ("indptr", "indices", "data"):
+            assert_same_array(
+                getattr(got_lp.a_matrix, part), getattr(lp.a_matrix, part), f"A {part}"
+            )
+        assert got_lp.a_matrix.shape == lp.a_matrix.shape
+        assert_same_array(got_lp.b_vector, lp.b_vector, "b")
     assert_same_array(got_lp.cost, lp.cost, "lp cost")
     assert_same_array(got_lp.lb, lp.lb, "lp lb")
     assert_same_array(got_lp.ub, lp.ub, "lp ub")
@@ -236,8 +264,8 @@ def assert_same_scenario(plan, scenario, rebuild, reference):
 # -- the equivalence gate ------------------------------------------------------
 @pytest.fixture(scope="module")
 def plan_pairs():
-    """(parametric, rebuild) plan pairs by (feeder, method), shared by every
-    example so the caches and counters see a long request stream."""
+    """(serving, rebuild) plan pairs by (feeder, method), shared by every
+    example so the counters see a long request stream."""
     pairs: dict = {}
 
     def get(feeder: str, method: str):
@@ -277,7 +305,7 @@ def scenario_requests(draw, feeder: str, method: str):
     )
 
 
-@pytest.mark.parametrize("method", LP_METHODS)
+@pytest.mark.parametrize("method", METHODS)
 @pytest.mark.parametrize("feeder", FEEDERS)
 @settings(max_examples=25, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -301,7 +329,8 @@ def test_parametric_build_matches_full_rebuild(plan_pairs, feeder, method, data)
 @pytest.mark.parametrize("method", LP_METHODS)
 def test_zero_and_repeated_multipliers_hit_the_cache(method):
     """A zero multiplier drops the load's voltage coefficient from A; a
-    repeat of a request re-reduces nothing."""
+    repeat of a request re-reduces its touched components to the same
+    bytes."""
     plan, rebuild = TopologyPlan("ieee13", method), RebuildPlan("ieee13", method)
     requests = [
         OPFRequest(request_id="a", method=method, load_multipliers={"ld611": 0.0}),
@@ -311,11 +340,52 @@ def test_zero_and_repeated_multipliers_hit_the_cache(method):
     ]
     for request in requests:
         assert_same_scenario(plan, plan.build_scenario(request), rebuild, rebuild.build(request))
-    base = plan.dec.lp.a_matrix.nnz
-    assert plan.build_scenario(requests[0]).lp.a_matrix.nnz < base
-    computed = plan.factorizations_computed
-    plan.build_scenario(requests[1])
-    assert plan.factorizations_computed == computed
+    first = plan.build_scenario(requests[0])
+    assert first.lp.a_matrix.nnz < plan.dec.lp.a_matrix.nnz
+    repeat = plan.build_scenario(requests[1])
+    for s, (got, want) in enumerate(zip(repeat.projections, first.projections)):
+        assert_same_array(got[0], want[0], f"projection {s} matrix")
+        assert_same_array(got[1], want[1], f"projection {s} vector")
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("feeder", ("ieee13", "synthetic:20:4"))
+def test_fresh_requests_keep_one_local_pair_per_component(feeder, method):
+    """Fresh per-load +-2% requests through one engine: the plan holds its
+    base pairs and nothing more, and counts one fresh factorization or one
+    base reuse per component and request, fresh exactly where the raw
+    system left the base's."""
+    rng = np.random.default_rng(7)
+    loads = sorted(_NETS[feeder].loads)
+    requests = [
+        OPFRequest(
+            request_id=f"r{i}", feeder=feeder, method=method,
+            load_multipliers={name: float(rng.uniform(0.98, 1.02)) for name in loads},
+            options=SolveOptions(max_iter=2),
+        )
+        for i in range(50)
+    ]
+    engine = ScenarioEngine(max_batch=8, queue_size=len(requests))
+    plan = engine.plan_for(requests[0])
+    comps = plan.dec.linear if method == "socp" else plan.dec.components
+    base_local = list(plan.base_local)
+    assert len(base_local) == len(comps)
+    held = {k: len(v) for k, v in vars(plan).items() if isinstance(v, (list, dict))}
+    for response in engine.serve(requests):
+        assert response.status in ("converged", "iteration_limit"), response.error
+    assert all(got is want for got, want in zip(plan.base_local, base_local, strict=True))
+    assert {k: len(v) for k, v in vars(plan).items() if isinstance(v, (list, dict))} == held
+    rebuild = RebuildPlan(feeder, method)
+    moved = sum(
+        not rebuild.is_base(s, *system)
+        for request in requests
+        for s, system in enumerate(
+            rebuild.raw_systems(rebuild.model(rebuild.perturbed_network(request)))
+        )
+    )
+    assert moved > 0
+    assert plan.factorizations_computed + plan.factorizations_reused == len(requests) * len(comps)
+    assert plan.factorizations_computed == moved
 
 
 def base_arrays(plan):
@@ -324,6 +394,8 @@ def base_arrays(plan):
               lp.b_vector, lp.cost, lp.lb, lp.ub, lp.initial_point()]
     for comp in plan.dec.components:
         arrays += [comp.a_raw, comp.b_raw]
+    for pair in plan.base_local:
+        arrays += list(pair)
     for load in plan.net.loads.values():
         arrays += [load.p_ref, load.q_ref]
     for gen in plan.net.generators.values():
@@ -355,6 +427,8 @@ def test_serving_leaves_the_base_arrays_untouched(method):
         lp.a_matrix.data[0] = 1.0
     with pytest.raises(ValueError):
         plan.dec.components[0].b_raw[...] = 0.0
+    with pytest.raises(ValueError):
+        plan.base_local[0][1][...] = 0.0
 
 
 # -- refactorization identity --------------------------------------------------

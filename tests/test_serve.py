@@ -207,13 +207,18 @@ class TestScenarioEngine:
         assert snap["factorizations_reused"] > 0
         assert snap["latency_p50_ms"] > 0
 
-    def test_projection_cache_shares_factorizations(self, served_engine):
+    def test_base_projections_serve_untouched_components(self, served_engine):
         engine, _, _ = served_engine
         plan = next(iter(engine.plans.values()))
-        # line components carry no load terms: identical bytes across all
-        # six scenarios, so far more reuses than fresh factorizations
-        total = plan.factorizations_computed + plan.factorizations_reused
-        assert total == 0  # drained into metrics by snapshot()
+        snap = engine.snapshot()
+        # Line components and unloaded buses carry no load terms, so all six
+        # scenarios take their base projections; only the loaded components
+        # of the five scaled ones are factorized afresh.
+        computed, reused = snap["factorizations_computed"], snap["factorizations_reused"]
+        assert computed + reused == 6 * len(plan.base_local)
+        assert reused > computed > 0
+        # snapshot() drained the plan's counters into the metrics.
+        assert plan.factorizations_computed + plan.factorizations_reused == 0
 
     def test_engine_rejects_when_queue_full(self):
         engine = ScenarioEngine(max_batch=2, queue_size=2)
